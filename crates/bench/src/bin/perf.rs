@@ -10,15 +10,8 @@
 //! Beyond the shared flags, `perf` adds:
 //!
 //! - `--parallel` — use the worker pool instead of the serial default.
-//! - `--queue heap|wheel` — event-queue backend (default wheel), for
-//!   head-to-head backend comparisons on identical work.
-//! - `--sim-jobs N` — run every simulation on the deterministic
-//!   parallel backend with N workers (default: sequential). Events are
-//!   byte-identical either way; the artifact records the setting
-//!   (`sim_jobs`, present only for parallel runs) and the baseline
-//!   gate requires it to match, so seq baselines gate seq runs.
 //! - `--emit-json PATH` — write the results as a perf artifact
-//!   (`results/BENCH_3.json` is the committed baseline).
+//!   (`results/BENCH_4.json` is the committed baseline).
 //! - `--baseline PATH` — compare against a previously emitted artifact
 //!   and exit non-zero on regression.
 //! - `--max-regress F` — allowed fractional throughput drop before the
@@ -56,17 +49,9 @@ use dynapar_engine::par::par_map;
 use dynapar_engine::profile::ProfileReport;
 use dynapar_gpu::{
     canonical_json_hash, parse_snapshot, InlineAll, Json, LaunchController, MetricsLevel,
-    QueueBackend, SimBackend, SimReport, SimWindow, WinStats,
+    SimReport,
 };
 use dynapar_workloads::{suite, warm_ramp_spec, RunOptions, Scale};
-
-/// The `--sim-window` spelling of a window policy (artifact + header).
-fn window_label(w: SimWindow) -> String {
-    match w {
-        SimWindow::Auto => "auto".to_string(),
-        SimWindow::Fixed(n) => n.to_string(),
-    }
-}
 
 fn scale_name(scale: Scale) -> &'static str {
     match scale {
@@ -82,12 +67,15 @@ const PERF_SCHEMA: &str = "dynapar-perf/1";
 /// Schema tag of the `profile` section emitted under `--profile`.
 const PROFILE_SCHEMA: &str = "dynapar-profile/1";
 
+/// The event queue every simulation schedules on. Recorded in the
+/// artifact and in the config-hash preimages as `"queue": "wheel"` and
+/// `"sim_jobs": 0`, so the committed baselines (recorded when the queue
+/// and the intra-run worker count were still selectable) keep gating.
+const QUEUE: &str = "wheel";
+
 fn main() {
     let (mut opts, rest) = Options::parse_known().unwrap_or_else(|e| e.exit());
     let mut serial = true;
-    let mut queue = QueueBackend::default();
-    let mut backend = SimBackend::Seq;
-    let mut window = SimWindow::default();
     let mut emit_json: Option<String> = None;
     let mut baseline: Option<String> = None;
     let mut max_regress = 0.30f64;
@@ -102,28 +90,6 @@ fn main() {
             // --jobs is already consumed by Options; this extra flag
             // only switches perf from its serial default to the pool.
             "--parallel" => serial = false,
-            "--queue" => {
-                queue = rest
-                    .next()
-                    .as_deref()
-                    .and_then(QueueBackend::parse)
-                    .unwrap_or_else(|| usage_error("--queue expects heap|wheel"));
-            }
-            "--sim-jobs" => {
-                let v = rest
-                    .next()
-                    .unwrap_or_else(|| usage_error("--sim-jobs expects a count ≥ 1"));
-                backend = match v.parse() {
-                    Ok(n) if n >= 1 => SimBackend::Par(n),
-                    _ => usage_error(&format!("--sim-jobs expects a count ≥ 1, got {v:?}")),
-                };
-            }
-            "--sim-window" => {
-                let v = rest
-                    .next()
-                    .unwrap_or_else(|| usage_error("--sim-window expects auto or a width ≥ 1"));
-                window = v.parse().unwrap_or_else(|e: String| usage_error(&e));
-            }
             "--emit-json" => {
                 emit_json =
                     Some(rest.next().unwrap_or_else(|| usage_error("--emit-json expects a path")));
@@ -170,24 +136,10 @@ fn main() {
             }
             "--sweep-fork" => sweep_fork = true,
             other => usage_error(&format!(
-                "unknown argument {other:?} (perf adds --parallel, --queue, \
-                 --sim-jobs, --sim-window, --emit-json, --baseline, --max-regress, --runs, \
-                 --profile, --check-profile, --metrics, --sweep-fork)"
+                "unknown argument {other:?} (perf adds --parallel, --emit-json, \
+                 --baseline, --max-regress, --runs, --profile, --check-profile, --metrics, \
+                 --sweep-fork)"
             )),
-        }
-    }
-    // The parallel backend clamps its worker count to the visible CPU
-    // cores (crates/gpu sim); asking for more silently measures fewer
-    // workers than requested, so say so up front.
-    if let SimBackend::Par(n) = backend {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if n > cores {
-            eprintln!(
-                "perf: warning: --sim-jobs {n} exceeds the {cores} available \
-                 core{}; the backend clamps to {cores} worker{}",
-                if cores == 1 { "" } else { "s" },
-                if cores == 1 { "" } else { "s" },
-            );
         }
     }
     if let Some(path) = &check_profile {
@@ -211,8 +163,6 @@ fn main() {
         }
         run_sweep_fork(
             &opts,
-            queue,
-            backend,
             runs,
             emit_json.as_deref(),
             baseline.as_deref(),
@@ -229,7 +179,7 @@ fn main() {
         .iter()
         .map(|n| suite::by_name(n, opts.scale, opts.seed).expect("known benchmark"))
         .collect();
-    type Rep = (SimReport, Option<ProfileReport>, WinStats);
+    type Rep = (SimReport, Option<ProfileReport>);
     type Job<'a> = (String, Box<dyn Fn() -> Vec<Rep> + Send + Sync + 'a>);
     let mut jobs: Vec<Job> = Vec::new();
     for b in &benches {
@@ -238,15 +188,14 @@ fn main() {
         // wall-clock; the simulation itself is deterministic, so every
         // repeat must produce the same event count.
         let full = move |make: &dyn Fn() -> Box<dyn LaunchController>| -> Vec<Rep> {
-            let run_opts = || RunOptions { queue, backend, window, ..RunOptions::default() };
             (0..runs)
                 .map(|_| {
                     if profile {
-                        let out = b.run_full_profiled(cfg, make(), run_opts());
-                        (out.report, out.profile, out.win)
+                        let out = b.run_full_profiled(cfg, make(), RunOptions::default());
+                        (out.report, out.profile)
                     } else {
-                        let out = b.run_full_opts(cfg, make(), metrics, run_opts());
-                        (out.report, None, out.win)
+                        let out = b.run_full_opts(cfg, make(), metrics, RunOptions::default());
+                        (out.report, None)
                     }
                 })
                 .collect()
@@ -264,21 +213,11 @@ fn main() {
             Box::new(move || full(&|| Box::new(SpawnPolicy::from_config(cfg)))),
         ));
     }
-    let sim_jobs_label = match backend {
-        SimBackend::Seq => "seq".to_string(),
-        SimBackend::Par(n) => format!("par:{n}"),
-    };
-    let sim_label = match backend {
-        SimBackend::Seq => sim_jobs_label.clone(),
-        SimBackend::Par(_) => format!("{sim_jobs_label} win={}", window_label(window)),
-    };
     println!(
-        "# perf (scale {}, seed {}, jobs {}, queue {}, sim {}, runs {}, metrics {})",
+        "# perf (scale {}, seed {}, jobs {}, runs {}, metrics {})",
         scale_name(opts.scale),
         opts.seed,
         opts.jobs,
-        queue.name(),
-        sim_label,
         runs,
         metrics.as_str()
     );
@@ -291,11 +230,10 @@ fn main() {
     // is the reported one, and every repeat's profile is merged.
     let mut merged_profile = ProfileReport::default();
     let mut profiled_wall_ns = 0u64;
-    let mut merged_win = WinStats::default();
     let mut reports: Vec<(String, SimReport)> = Vec::new();
     for (label, reps) in results {
         let events = reps[0].0.events_processed;
-        for (r, _, _) in &reps {
+        for (r, _) in &reps {
             if r.events_processed != events {
                 eprintln!(
                     "perf: {label}: event count varies across repeats \
@@ -305,19 +243,18 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        for (r, p, w) in &reps {
+        for (r, p) in &reps {
             if let Some(p) = p {
                 merged_profile.merge(p);
                 profiled_wall_ns += (r.wall_ms * 1e6) as u64;
             }
-            merged_win.merge(w);
         }
-        let mut walls: Vec<f64> = reps.iter().map(|(r, _, _)| r.wall_ms).collect();
+        let mut walls: Vec<f64> = reps.iter().map(|(r, _)| r.wall_ms).collect();
         walls.sort_by(|a, b| a.total_cmp(b));
         let median = walls[walls.len() / 2];
-        let (report, _, _) = reps
+        let (report, _) = reps
             .into_iter()
-            .find(|(r, _, _)| r.wall_ms == median)
+            .find(|(r, _)| r.wall_ms == median)
             .expect("median came from this list");
         reports.push((label, report));
     }
@@ -389,25 +326,6 @@ fn main() {
         }
     };
     println!("{:<28} {:>12} {:>10} {:>12.0}", "GEOMEAN (per-run)", "", "", geomean);
-    let window_json = if merged_win.is_empty() {
-        None
-    } else {
-        let w = &merged_win;
-        println!(
-            "# window (policy {}, spans {}, ticks {}, avg width {:.2})",
-            window_label(window),
-            w.spans,
-            w.ticks,
-            w.ticks as f64 / w.spans.max(1) as f64
-        );
-        let hist: Vec<Json> = w.hist.iter().map(|&c| Json::U64(c)).collect();
-        Some(Json::obj([
-            ("policy", Json::str(window_label(window))),
-            ("spans", Json::U64(w.spans)),
-            ("ticks", Json::U64(w.ticks)),
-            ("width_hist_pow2", Json::Arr(hist)),
-        ]))
-    };
     let profile_json = if profile {
         let p = &merged_profile;
         let attributed = p.attributed_ns();
@@ -449,37 +367,21 @@ fn main() {
         ("schema", Json::str(PERF_SCHEMA)),
         ("scale", Json::str(scale_name(opts.scale))),
         ("seed", Json::U64(opts.seed)),
-        ("queue", Json::str(queue.name())),
+        ("queue", Json::str(QUEUE)),
         ("repeats", Json::U64(runs as u64)),
     ];
-    // Present only for parallel runs: an absent key matches the
-    // committed sequential baselines, so old artifacts keep gating
-    // sequential runs without a schema bump.
-    if let SimBackend::Par(n) = backend {
-        fields.push(("sim_jobs", Json::U64(n as u64)));
-        fields.push(("sim_window", Json::str(window_label(window))));
-    }
     // One canonical hash over everything that defines comparability.
-    // Unlike the simulation-memoization key (which drops the backend
-    // because run artifacts are byte-identical across backends), the
-    // perf identity keeps queue and sim_jobs: they change wall-clock,
-    // which is the thing this artifact measures. The metrics level
-    // stays out — gating a `--metrics timeseries` run against an off
-    // baseline is the documented way to measure telemetry overhead.
+    // The metrics level stays out — gating a `--metrics timeseries` run
+    // against an off baseline is the documented way to measure
+    // telemetry overhead.
     let config_hash = {
         let preimage = Json::obj([
             ("schema", Json::str("dynapar.perf_config/v1")),
             ("gpu", cfg.to_json()),
             ("scale", Json::str(scale_name(opts.scale))),
             ("seed", Json::U64(opts.seed)),
-            ("queue", Json::str(queue.name())),
-            (
-                "sim_jobs",
-                match backend {
-                    SimBackend::Seq => Json::U64(0),
-                    SimBackend::Par(n) => Json::U64(n as u64),
-                },
-            ),
+            ("queue", Json::str(QUEUE)),
+            ("sim_jobs", Json::U64(0)),
         ]);
         format!("{:016x}", canonical_json_hash(&preimage))
     };
@@ -498,11 +400,6 @@ fn main() {
     ]);
     if let Some(p) = profile_json {
         fields.push(("profile", p));
-    }
-    // Realized span widths (parallel runs only): absent for sequential
-    // runs, so those artifacts keep the exact historical shape.
-    if let Some(w) = window_json {
-        fields.push(("window", w));
     }
     // Only non-default levels stamp the artifact, so off-level artifacts
     // (like the committed baselines) keep the exact historical shape.
@@ -549,8 +446,6 @@ const SWEEP_FORK_MIN_SPEEDUP: f64 = 1.5;
 /// wall-clock must not be polluted by sibling simulations.
 fn run_sweep_fork(
     opts: &Options,
-    queue: QueueBackend,
-    backend: SimBackend,
     runs: usize,
     emit_json: Option<&str>,
     baseline: Option<&str>,
@@ -565,11 +460,7 @@ fn run_sweep_fork(
         PolicySpec::Baseline,
     ];
     let mk = |p: &PolicySpec| p.controller(&cfg, b.default_threshold(), MetricsLevel::Off);
-    let run_opts = || RunOptions {
-        queue,
-        backend,
-        ..RunOptions::default()
-    };
+    let run_opts = RunOptions::default;
     let fail = |msg: &str| -> ! {
         eprintln!("perf: sweep-fork: {msg}");
         std::process::exit(1);
@@ -655,16 +546,10 @@ fn run_sweep_fork(
         w.sort_by(|a, b| a.total_cmp(b));
         w[w.len() / 2]
     };
-    let sim_jobs_label = match backend {
-        SimBackend::Seq => "seq".to_string(),
-        SimBackend::Par(n) => format!("par:{n}"),
-    };
     println!(
-        "# perf --sweep-fork ({}, seed {}, queue {}, sim {}, runs {}, fork at cycle {})",
+        "# perf --sweep-fork ({}, seed {}, runs {}, fork at cycle {})",
         b.name(),
         opts.seed,
-        queue.name(),
-        sim_jobs_label,
         runs,
         SWEEP_FORK_WARMUP
     );
@@ -721,14 +606,8 @@ fn run_sweep_fork(
             ("schema", Json::str("dynapar.perf_sweep_fork_config/v1")),
             ("gpu", cfg.to_json()),
             ("seed", Json::U64(opts.seed)),
-            ("queue", Json::str(queue.name())),
-            (
-                "sim_jobs",
-                match backend {
-                    SimBackend::Seq => Json::U64(0),
-                    SimBackend::Par(n) => Json::U64(n as u64),
-                },
-            ),
+            ("queue", Json::str(QUEUE)),
+            ("sim_jobs", Json::U64(0)),
             ("warmup", Json::U64(SWEEP_FORK_WARMUP)),
         ]);
         format!("{:016x}", canonical_json_hash(&preimage))
@@ -738,7 +617,7 @@ fn run_sweep_fork(
         ("schema", Json::str(PERF_SCHEMA)),
         ("mode", Json::str("sweep-fork")),
         ("seed", Json::U64(opts.seed)),
-        ("queue", Json::str(queue.name())),
+        ("queue", Json::str(QUEUE)),
         ("repeats", Json::U64(runs as u64)),
         ("warmup_cycle", Json::U64(SWEEP_FORK_WARMUP)),
         ("speedup", Json::F64(speedup)),

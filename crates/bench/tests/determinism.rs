@@ -7,9 +7,7 @@
 use dynapar_bench::run_schemes;
 use dynapar_core::{Dtbl, SpawnPolicy};
 use dynapar_engine::par::par_map;
-use dynapar_gpu::{
-    GpuConfig, Json, MetricsLevel, QueueBackend, RunArtifact, SimBackend, SimReport, SimWindow,
-};
+use dynapar_gpu::{GpuConfig, Json, MetricsLevel, RunArtifact, SimReport};
 use dynapar_workloads::{suite, RunOptions, Scale};
 
 /// Renders a report with the nondeterministic wall-clock field zeroed.
@@ -19,26 +17,14 @@ fn canonical(r: &SimReport) -> String {
     format!("{r:?}")
 }
 
-/// Renders each benchmark's full-metrics run artifact on the given queue
-/// backend, fanning the runs across `jobs` workers.
-fn artifact_jsons(jobs: usize, queue: QueueBackend) -> Vec<String> {
-    artifact_jsons_at(jobs, queue, MetricsLevel::Full)
+/// Renders each benchmark's full-metrics run artifact, fanning the runs
+/// across `jobs` workers.
+fn artifact_jsons(jobs: usize) -> Vec<String> {
+    artifact_jsons_at(jobs, MetricsLevel::Full)
 }
 
 /// Same matrix at an explicit metrics level (the timeseries test reuses it).
-fn artifact_jsons_at(jobs: usize, queue: QueueBackend, level: MetricsLevel) -> Vec<String> {
-    artifact_jsons_on(jobs, queue, level, SimBackend::Seq)
-}
-
-/// Same matrix on an explicit simulation backend (the seq/par matrix
-/// test reuses it): `jobs` fans benchmarks across worker processes while
-/// `backend` picks how each individual simulation ticks its SMXs.
-fn artifact_jsons_on(
-    jobs: usize,
-    queue: QueueBackend,
-    level: MetricsLevel,
-    backend: SimBackend,
-) -> Vec<String> {
+fn artifact_jsons_at(jobs: usize, level: MetricsLevel) -> Vec<String> {
     let cfg = GpuConfig::kepler_k20m();
     // AMR is the deepest-nesting workload in the suite; the extra DTBL
     // pass on BFS exercises the aggregated-launch path (child naming,
@@ -55,29 +41,24 @@ fn artifact_jsons_on(
         } else {
             Box::new(SpawnPolicy::from_config(&cfg).with_prediction_log())
         };
-        let out = bench.run_full_with(&cfg, policy, Some(100_000), level, queue, backend);
+        let out = bench.run_full(&cfg, policy, Some(100_000), level);
         format!("{}", out.artifact.expect("full metrics emit an artifact"))
     })
 }
 
 #[test]
-fn timeseries_artifacts_are_byte_identical_across_jobs_and_backends() {
+fn timeseries_artifacts_are_byte_identical_across_jobs() {
     // The telemetry layer samples on the simulated clock, not the host
     // clock, so the `dynapar-timeseries/1` section must be exactly as
     // deterministic as the rest of the artifact: byte-identical across
-    // worker counts and queue backends.
-    let wheel = artifact_jsons_at(1, QueueBackend::Wheel, MetricsLevel::Timeseries);
+    // worker counts.
+    let serial = artifact_jsons_at(1, MetricsLevel::Timeseries);
     assert_eq!(
-        wheel,
-        artifact_jsons_at(4, QueueBackend::Wheel, MetricsLevel::Timeseries),
+        serial,
+        artifact_jsons_at(4, MetricsLevel::Timeseries),
         "timeseries artifact differs across job counts"
     );
-    assert_eq!(
-        wheel,
-        artifact_jsons_at(1, QueueBackend::Heap, MetricsLevel::Timeseries),
-        "timeseries artifact differs between queue backends"
-    );
-    for json in &wheel {
+    for json in &serial {
         assert!(json.contains("\"dynapar-timeseries/1\""));
         let artifact = RunArtifact::parse(json).expect("artifact round-trips");
         assert_eq!(&artifact.to_string(), json, "parse/emit is lossless");
@@ -88,149 +69,45 @@ fn timeseries_artifacts_are_byte_identical_across_jobs_and_backends() {
 #[test]
 fn run_artifacts_are_byte_identical_across_job_counts() {
     // The artifact deliberately excludes `wall_ms`, so no canonicalization
-    // is needed: the emitted JSON itself must be byte-stable. Both
-    // backends must uphold the same invariant.
-    for queue in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let serial = artifact_jsons(1, queue);
-        let parallel = artifact_jsons(4, queue);
-        assert_eq!(
-            serial, parallel,
-            "artifact JSON differs across job counts on {}",
-            queue.name()
-        );
-        for json in &serial {
-            let artifact = RunArtifact::parse(json).expect("artifact round-trips");
-            assert_eq!(&artifact.to_string(), json, "parse/emit is lossless");
-            assert!(json.contains("\"ccqs_samples\""));
-            assert!(!json.contains("wall_ms"), "artifact must omit host timing");
-        }
+    // is needed: the emitted JSON itself must be byte-stable.
+    let serial = artifact_jsons(1);
+    let parallel = artifact_jsons(4);
+    assert_eq!(serial, parallel, "artifact JSON differs across job counts");
+    for json in &serial {
+        let artifact = RunArtifact::parse(json).expect("artifact round-trips");
+        assert_eq!(&artifact.to_string(), json, "parse/emit is lossless");
+        assert!(json.contains("\"ccqs_samples\""));
+        assert!(!json.contains("wall_ms"), "artifact must omit host timing");
     }
 }
 
 #[test]
-fn heap_and_wheel_backends_are_byte_identical() {
-    // The queue backend is a host-side implementation detail: every
-    // simulated observable — the full-metrics artifact and the whole
-    // report — must match byte for byte between the comparison heap and
-    // the timing wheel.
-    assert_eq!(
-        artifact_jsons(1, QueueBackend::Wheel),
-        artifact_jsons(1, QueueBackend::Heap),
-        "artifact JSON differs between queue backends"
-    );
+fn anchor_maintenance_leaves_no_dead_wakeups() {
+    // A wakeup that fires with nothing to do means the per-SMX anchor
+    // lists leaked a stale tick; anchor maintenance must be exact.
     let cfg = GpuConfig::kepler_k20m();
     for name in ["GC-citation", "MM-small", "BFS-graph500", "AMR"] {
         let bench = suite::by_name(name, Scale::Tiny, suite::DEFAULT_SEED).expect("known");
-        let run = |queue| {
-            let policy = SpawnPolicy::from_config(&cfg);
-            bench
-                .run_full_on(&cfg, Box::new(policy), None, MetricsLevel::Off, queue)
-                .report
-        };
-        let wheel = run(QueueBackend::Wheel);
-        let heap = run(QueueBackend::Heap);
-        assert_eq!(canonical(&wheel), canonical(&heap), "{name} report differs");
-        // Anchor maintenance must be exact: a wakeup that fires with
-        // nothing to do means the per-SMX lists leaked a stale tick.
-        assert_eq!(wheel.dead_wakeups, 0, "{name} leaked dead wakeups");
+        let policy = SpawnPolicy::from_config(&cfg);
+        let report = bench.run(&cfg, Box::new(policy));
+        assert_eq!(report.dead_wakeups, 0, "{name} leaked dead wakeups");
     }
 }
 
 #[test]
-fn parallel_sim_backend_is_byte_identical_to_sequential() {
-    // The intra-run parallel backend (conservative-window tick of the
-    // per-SMX wheels) must be invisible in every simulated observable:
-    // the full-metrics artifact has to match byte for byte against the
-    // sequential wheel run AND the sequential comparison heap, at every
-    // worker count. jobs=1 exercises the batching/merge machinery with
-    // the pool in serial mode; 2/4/7 exercise real thread interleaving
-    // (7 deliberately exceeds the 13-SMX batch width unevenly).
-    let wheel_seq = artifact_jsons_at(1, QueueBackend::Wheel, MetricsLevel::Full);
-    let heap_seq = artifact_jsons_at(1, QueueBackend::Heap, MetricsLevel::Full);
-    assert_eq!(wheel_seq, heap_seq, "seq artifact differs between queue backends");
-    for sim_jobs in [1usize, 2, 4, 7] {
-        let wheel_par = artifact_jsons_on(
-            1,
-            QueueBackend::Wheel,
-            MetricsLevel::Full,
-            SimBackend::Par(sim_jobs),
-        );
-        assert_eq!(
-            wheel_seq, wheel_par,
-            "artifact JSON differs between seq and par({sim_jobs}) backends"
-        );
-    }
-}
-
-/// The benchmark matrix on the parallel backend at an explicit
-/// lookahead-window policy (the window matrix test reuses it).
-fn artifact_jsons_windowed(sim_jobs: usize, window: SimWindow) -> Vec<String> {
-    let cfg = GpuConfig::kepler_k20m();
-    let names = vec!["GC-citation", "MM-small", "BFS-graph500", "AMR", "BFS-graph500/dtbl"];
-    par_map(names, 1, |name| {
-        let (bench_name, dtbl) = match name.strip_suffix("/dtbl") {
-            Some(base) => (base, true),
-            None => (name, false),
-        };
-        let bench = suite::by_name(bench_name, Scale::Tiny, suite::DEFAULT_SEED).expect("known");
-        let policy: Box<dyn dynapar_gpu::LaunchController> = if dtbl {
-            Box::new(Dtbl::new())
-        } else {
-            Box::new(SpawnPolicy::from_config(&cfg).with_prediction_log())
-        };
-        let opts = RunOptions {
-            trace_capacity: Some(100_000),
-            backend: SimBackend::Par(sim_jobs),
-            window,
-            ..RunOptions::default()
-        };
-        let out = bench.run_full_opts(&cfg, policy, MetricsLevel::Full, opts);
-        format!("{}", out.artifact.expect("full metrics emit an artifact"))
-    })
-}
-
-#[test]
-fn window_policy_is_byte_invisible_at_every_worker_count() {
-    // The lookahead window only widens how far shards run ahead of the
-    // global clock — replay order is pinned by (cycle, anchor-pop
-    // order) regardless — so every (window, workers) cell must emit the
-    // sequential artifact byte for byte. window=1 degenerates to the
-    // per-cycle protocol, 4 forces short fixed spans, auto follows the
-    // computed safe horizon.
-    let seq = artifact_jsons_at(1, QueueBackend::Wheel, MetricsLevel::Full);
-    for window in [SimWindow::Fixed(1), SimWindow::Fixed(4), SimWindow::Auto] {
-        for sim_jobs in [1usize, 2, 4] {
-            assert_eq!(
-                seq,
-                artifact_jsons_windowed(sim_jobs, window),
-                "artifact differs from seq at window {window:?}, sim_jobs {sim_jobs}"
-            );
-        }
-    }
-}
-
-#[test]
-fn snapshot_mid_span_captures_exactly_at_the_requested_cycle() {
-    // A wide fixed window makes the parallel loop run spans that stride
-    // far past any interior cycle C, so this pins the capture contract:
-    // arming --snapshot-at C must still capture after exactly the
-    // events at time ≤ C (the run stays on the sequential loop until
-    // the capture, then the parallel backend takes over), and resuming
-    // that container reproduces the uninterrupted artifact byte for
-    // byte.
+fn snapshot_captures_exactly_at_the_requested_cycle() {
+    // Pins the capture contract: arming --snapshot-at C captures after
+    // exactly the events at time ≤ C, and resuming that container
+    // reproduces the uninterrupted artifact byte for byte.
     let cfg = GpuConfig::kepler_k20m();
     let bench = suite::by_name("AMR", Scale::Tiny, suite::DEFAULT_SEED).expect("known");
-    let opts = || RunOptions {
-        backend: SimBackend::Par(4),
-        window: SimWindow::Fixed(64),
-        ..RunOptions::default()
-    };
+    let opts = RunOptions::default;
     let policy = || Box::new(SpawnPolicy::from_config(&cfg).with_prediction_log());
     let cold = bench.run_full_opts(&cfg, policy(), MetricsLevel::Full, opts());
     let cold_json = cold.artifact.expect("artifact").to_string();
     let total = cold.report.total_cycles;
     assert!(total > 8, "run long enough for an interior capture cycle");
-    // An odd interior cycle, deliberately not aligned to any span edge.
+    // An odd interior cycle.
     let at = total / 2 + 1;
     let armed = bench.run_full_opts(
         &cfg,
@@ -257,7 +134,7 @@ fn snapshot_mid_span_captures_exactly_at_the_requested_cycle() {
     assert_eq!(
         resumed.artifact.expect("artifact").to_string(),
         cold_json,
-        "snapshot/resume round-trip must be byte-identical mid-span"
+        "snapshot/resume round-trip must be byte-identical"
     );
 }
 

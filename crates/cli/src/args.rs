@@ -8,7 +8,7 @@
 
 use dynapar_core::PolicySpec;
 use dynapar_engine::log::Level;
-use dynapar_gpu::{MetricsLevel, SimWindow};
+use dynapar_gpu::MetricsLevel;
 use dynapar_workloads::Scale;
 
 /// The CLI's subcommands.
@@ -171,16 +171,8 @@ pub struct Cli {
     /// Generator seed.
     pub seed: u64,
     /// Worker threads for multi-simulation subcommands (sweep,
-    /// compare, suite). Orthogonal to `sim_jobs`.
+    /// compare, suite).
     pub jobs: usize,
-    /// Worker threads *inside* each simulation (the deterministic
-    /// parallel backend); `None` runs the sequential backend. Results
-    /// are byte-identical either way.
-    pub sim_jobs: Option<usize>,
-    /// Lookahead window policy for the parallel backend (`--sim-window
-    /// auto|1|N`, default auto). Wall-clock only: results are
-    /// byte-identical at every width.
-    pub sim_window: SimWindow,
 }
 
 /// Usage text.
@@ -218,10 +210,6 @@ POLICIES:  flat | baseline | spawn | dtbl | always | adaptive | freelaunch | thr
 OPTIONS:   --scale tiny|small|paper (default paper) · --seed N
            --jobs N (worker threads for sweep/compare/suite;
            default: DYNAPAR_JOBS or the CPU count)
-           --sim-jobs N (parallel backend inside each simulation;
-           default: sequential. Results are byte-identical)
-           --sim-window auto|1|N (parallel lookahead window width;
-           default auto. Wall-clock only — results are byte-identical)
 BENCHES:   the 13 Table I names, e.g. BFS-graph500, SA-thaliana (see `list`)
 ARTIFACTS: --emit-json writes the deterministic run-artifact JSON
            (implies --metrics full unless --metrics is given);
@@ -274,8 +262,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut scale = Scale::Paper;
     let mut seed = dynapar_workloads::suite::DEFAULT_SEED;
     let mut jobs = dynapar_engine::par::default_jobs();
-    let mut sim_jobs: Option<usize> = None;
-    let mut sim_window = SimWindow::default();
     let mut bench: Option<String> = None;
     let mut spec: Option<String> = None;
     let mut policy: Option<PolicySpec> = None;
@@ -323,18 +309,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
-            }
-            "--sim-jobs" => {
-                let n: usize = take_value(args, &mut i, "--sim-jobs")?
-                    .parse()
-                    .map_err(|_| "--sim-jobs expects an integer".to_string())?;
-                if n == 0 {
-                    return Err("--sim-jobs must be at least 1".to_string());
-                }
-                sim_jobs = Some(n);
-            }
-            "--sim-window" => {
-                sim_window = take_value(args, &mut i, "--sim-window")?.parse()?;
             }
             "--bench" => bench = Some(take_value(args, &mut i, "--bench")?.to_string()),
             "--spec" => spec = Some(take_value(args, &mut i, "--spec")?.to_string()),
@@ -571,8 +545,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         scale,
         seed,
         jobs,
-        sim_jobs,
-        sim_window,
     })
 }
 
@@ -644,44 +616,6 @@ mod tests {
         assert!(parse(&v(&["suite", "--policy", "spawn", "--jobs", "many"])).is_err());
         let cli = parse(&v(&["list"])).expect("valid");
         assert!(cli.jobs >= 1);
-    }
-
-    #[test]
-    fn sim_jobs_flag() {
-        let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--sim-jobs", "4",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.sim_jobs, Some(4));
-        let cli = parse(&v(&["run", "--bench", "AMR", "--policy", "spawn"])).expect("valid");
-        assert_eq!(cli.sim_jobs, None, "default is the sequential backend");
-        assert!(parse(&v(&["run", "--bench", "AMR", "--policy", "spawn", "--sim-jobs", "0"]))
-            .is_err());
-        assert!(parse(&v(&["run", "--bench", "AMR", "--policy", "spawn", "--sim-jobs", "x"]))
-            .is_err());
-    }
-
-    #[test]
-    fn sim_window_flag() {
-        let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--sim-window", "8",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.sim_window, SimWindow::Fixed(8));
-        let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--sim-window", "auto",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.sim_window, SimWindow::Auto);
-        let cli = parse(&v(&["run", "--bench", "AMR", "--policy", "spawn"])).expect("valid");
-        assert_eq!(cli.sim_window, SimWindow::Auto, "auto is the default");
-        for bad in ["0", "x", ""] {
-            assert!(
-                parse(&v(&["run", "--bench", "AMR", "--policy", "spawn", "--sim-window", bad]))
-                    .is_err(),
-                "--sim-window {bad:?} must be rejected"
-            );
-        }
     }
 
     #[test]

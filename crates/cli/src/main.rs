@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use args::{Cli, Command, USAGE};
 use dynapar_core::PolicySpec;
 use dynapar_engine::par::par_map;
-use dynapar_gpu::{GpuConfig, MetricsLevel, SimReport};
+use dynapar_gpu::{GpuConfig, MetricsLevel, SimReport, SimWindow};
 use dynapar_server::{
     Client, GpuPreset, JobRequest, Observation, Server, ServerConfig, SweepRequest, WorkloadRef,
     PROTOCOL_VERSION,
@@ -136,8 +136,8 @@ fn exec(cli: Cli) -> Result<(), String> {
                 seed: cli.seed,
                 metrics: *metrics,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: cli.sim_jobs,
-                sim_window: cli.sim_window,
+                sim_jobs: None,
+                sim_window: SimWindow::default(),
             };
             // Built once here for the header line (and the friendly
             // unknown-benchmark error before any simulation starts);
@@ -303,8 +303,8 @@ fn exec(cli: Cli) -> Result<(), String> {
                     seed: cli.seed,
                     metrics: MetricsLevel::Off,
                     gpu: GpuPreset::KeplerK20m,
-                    sim_jobs: cli.sim_jobs,
-                    sim_window: cli.sim_window,
+                    sim_jobs: None,
+                    sim_window: SimWindow::default(),
                 },
                 policies: grid.iter().map(|&t| PolicySpec::Threshold(t)).collect(),
                 fork_warmup: *fork_warmup,
@@ -461,8 +461,8 @@ fn exec(cli: Cli) -> Result<(), String> {
                 seed: cli.seed,
                 metrics: *metrics,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: cli.sim_jobs,
-                sim_window: cli.sim_window,
+                sim_jobs: None,
+                sim_window: SimWindow::default(),
             };
             let mut client =
                 Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;

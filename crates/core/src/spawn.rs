@@ -207,10 +207,12 @@ impl LaunchController for SpawnPolicy {
         };
         let n_con = self.ccqs.n_con().max(1);
         let t_overhead = self.overhead.kernel_latency(req.warp_prior_launches as u64 + 1);
-        let t_child = t_overhead + (x + n) * t_cta / n_con;
+        // Saturating: no real run comes near u64::MAX cycles, but a
+        // replayed snapshot log must not be able to overflow either.
+        let t_child = t_overhead.saturating_add((x + n).saturating_mul(t_cta) / n_con);
 
         // Line 6: t_parent = workload * t_warp.
-        let t_parent = req.items as u64 * self.ccqs.t_warp();
+        let t_parent = (req.items as u64).saturating_mul(self.ccqs.t_warp());
 
         self.decisions += 1;
         if self.trace && self.decisions.is_multiple_of(512) {

@@ -1,7 +1,7 @@
 //! Stable time-ordered event queue.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -42,6 +42,10 @@ impl<E> Ord for Entry<E> {
 /// completion observed by the SPAWN controller is processed before a launch
 /// decision scheduled later in the same cycle by a different component.
 ///
+/// The simulator schedules on the [`TimingWheel`](crate::TimingWheel);
+/// this plain binary heap is the reference implementation the wheel is
+/// differentially tested against, so it favours obviousness over speed.
+///
 /// # Examples
 ///
 /// ```
@@ -55,22 +59,7 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Same-cycle fast lane: events all scheduled for `lane_time`, in push
-    /// order. The simulator's hot loop schedules bursts of events for the
-    /// current cycle (warp round-robin, launch cascades); routing those
-    /// through a FIFO instead of the heap turns the dominant push/pop pair
-    /// from O(log n) sift into O(1).
-    ///
-    /// Invariant: while `lane` is non-empty, the heap holds no entry at
-    /// exactly `lane_time` — a lane is only opened when the heap minimum is
-    /// strictly later than `at`, and every push at `lane_time` while the
-    /// lane is open joins the lane. Pop order therefore needs no seq
-    /// comparison across the two structures: heap entries earlier than
-    /// `lane_time` go first, the lane drains next, later heap entries after.
-    lane: VecDeque<E>,
-    lane_time: Cycle,
     next_seq: u64,
-    pushed: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -78,28 +67,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
-            lane_time: Cycle::ZERO,
             next_seq: 0,
-            pushed: 0,
         }
     }
 
     /// Schedules `event` to fire at cycle `at`.
     pub fn push(&mut self, at: Cycle, event: E) {
-        self.pushed += 1;
-        if !self.lane.is_empty() {
-            if at == self.lane_time {
-                self.lane.push_back(event);
-                return;
-            }
-        } else if self.heap.peek().map_or(true, |min| min.at > at) {
-            // No earlier-or-equal heap entry exists, so this event is next
-            // up and same-cycle followers can join it FIFO.
-            self.lane_time = at;
-            self.lane.push_back(event);
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
@@ -107,74 +80,27 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if !self.lane.is_empty() {
-            // Heap entries at lane_time cannot exist (see invariant), so
-            // the lane wins unless the heap has something strictly earlier.
-            if self.heap.peek().map_or(true, |min| min.at > self.lane_time) {
-                let event = self.lane.pop_front().expect("lane checked non-empty");
-                return Some((self.lane_time, event));
-            }
-        }
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
     /// Returns the firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let heap_min = self.heap.peek().map(|e| e.at);
-        if self.lane.is_empty() {
-            heap_min
-        } else {
-            Some(heap_min.map_or(self.lane_time, |h| h.min(self.lane_time)))
-        }
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty()
     }
 
     /// Total number of events ever pushed (diagnostic counter).
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Returns every pending entry in pop order, without observably
-    /// mutating the queue: the `total_pushed` counter and the future pop
-    /// stream are preserved. (Internally the entries are drained and
-    /// re-pushed in pop order; heap/lane residency and sequence numbers
-    /// are not observable through the API.)
-    pub fn snapshot_entries(&mut self) -> Vec<(u64, E)>
-    where
-        E: Clone,
-    {
-        let saved_pushed = self.pushed;
-        let mut out = Vec::with_capacity(self.len());
-        while let Some((t, e)) = self.pop() {
-            out.push((t.as_u64(), e));
-        }
-        for &(t, ref e) in &out {
-            self.push(Cycle(t), e.clone());
-        }
-        self.pushed = saved_pushed;
-        out
-    }
-
-    /// Rebuilds a queue from snapshot `entries` in pop order (as returned
-    /// by [`snapshot_entries`](Self::snapshot_entries)) and the original
-    /// `total_pushed` counter. Pushing in pop order reconstructs the FIFO
-    /// tie-break exactly.
-    pub fn restore_entries(pushed: u64, entries: Vec<(u64, E)>) -> Self {
-        let mut q = EventQueue::new();
-        for (t, e) in entries {
-            q.push(Cycle(t), e);
-        }
-        q.pushed = pushed;
-        q
+        self.next_seq
     }
 }
 
@@ -188,8 +114,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("lane", &self.lane.len())
-            .field("total_pushed", &self.pushed)
+            .field("total_pushed", &self.next_seq)
             .finish()
     }
 }
@@ -252,61 +177,6 @@ mod tests {
     fn debug_is_nonempty() {
         let q: EventQueue<u8> = EventQueue::new();
         assert!(!format!("{q:?}").is_empty());
-    }
-
-    #[test]
-    fn lane_respects_earlier_heap_events() {
-        // Open a lane at t=10, then schedule something earlier: the heap
-        // event must pop first, then the lane drains FIFO.
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), "lane-a");
-        q.push(Cycle(5), "early");
-        q.push(Cycle(10), "lane-b");
-        assert_eq!(q.peek_time(), Some(Cycle(5)));
-        assert_eq!(q.pop(), Some((Cycle(5), "early")));
-        assert_eq!(q.pop(), Some((Cycle(10), "lane-a")));
-        assert_eq!(q.pop(), Some((Cycle(10), "lane-b")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn snapshot_preserves_pop_stream_and_counters() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 0);
-        q.push(Cycle(5), 1);
-        q.push(Cycle(10), 2);
-        q.push(Cycle(5), 3);
-        assert_eq!(q.pop(), Some((Cycle(5), 1)));
-        let snap = q.snapshot_entries();
-        assert_eq!(q.total_pushed(), 4);
-        assert_eq!(snap, vec![(5, 3), (10, 0), (10, 2)]);
-
-        let mut restored = EventQueue::restore_entries(q.total_pushed(), snap);
-        assert_eq!(restored.total_pushed(), 4);
-        loop {
-            assert_eq!(restored.peek_time(), q.peek_time());
-            let (a, b) = (q.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn closed_lane_ties_stay_fifo_via_heap() {
-        // Once a lane at t=10 closes (drains), later t=10 pushes that find
-        // an equal heap minimum must fall back to the heap and keep FIFO
-        // order through seq numbers.
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 0);
-        assert_eq!(q.pop(), Some((Cycle(10), 0)));
-        q.push(Cycle(12), 1); // heap (lane would need min > 12? no: lane opens at 12)
-        q.push(Cycle(10), 2); // earlier than lane_time: heap
-        q.push(Cycle(10), 3); // heap again (lane busy at 12)
-        assert_eq!(q.pop(), Some((Cycle(10), 2)));
-        assert_eq!(q.pop(), Some((Cycle(10), 3)));
-        assert_eq!(q.pop(), Some((Cycle(12), 1)));
     }
 }
 

@@ -1,27 +1,23 @@
-//! Deterministic parallelism primitives: a reusable scoped worker pool,
-//! an order-preserving parallel map built on it, and a long-lived owned
-//! work queue for daemons.
+//! Deterministic parallelism primitives: an order-preserving parallel
+//! map and a long-lived owned work queue for daemons.
 //!
-//! Three layers share this module. The experiment drivers (scheme
+//! Two kinds of caller share this module. The experiment drivers (scheme
 //! comparisons, threshold sweeps, figure scripts) run many *independent*
 //! simulations through [`par_map`]; each simulation stays deterministic,
 //! so running N of them on N cores changes nothing about any individual
-//! result. The parallel simulation backend (`--sim-jobs`) instead needs
-//! a *persistent* pool it can feed thousands of tiny per-cycle shard
-//! ticks without spawning threads per window — that is [`Pool`], and
-//! `par_map` is now a thin client of it. Finally, the `dynapar-server`
-//! daemon needs workers that outlive any one call frame and *survive
-//! panicking jobs*: that is [`WorkQueue`], the owned (non-scoped)
-//! sibling of `Pool` built on the same task-queue internals.
+//! result; its scoped workers serve every item of one call. The
+//! `dynapar-server` daemon needs workers that outlive any one call frame
+//! and *survive panicking jobs*: that is [`WorkQueue`], the owned
+//! (non-scoped) sibling built on the same task-queue internals.
 //!
 //! There is no dependency on a thread-pool crate: workers are
 //! [`std::thread::scope`] (or, for [`WorkQueue`], [`std::thread::spawn`])
 //! threads looping on a mutex-protected task queue with a condvar,
-//! returning results over a bounded channel. A panic in any [`Pool`] job
-//! is caught on the worker and re-raised on the caller at the matching
-//! [`Pool::recv`], exactly like the serial loop; a panic in a
-//! [`WorkQueue`] job is swallowed after the job's own handler had its
-//! chance, and the worker lives on to serve the next task.
+//! returning results over a bounded channel. A panic in any [`par_map`]
+//! item is caught on the worker and re-raised on the caller, exactly
+//! like the serial loop; a panic in a [`WorkQueue`] job is swallowed
+//! after the job's own handler had its chance, and the worker lives on
+//! to serve the next task.
 //!
 //! # Examples
 //!
@@ -75,7 +71,7 @@ struct Queue<T> {
     shutdown: bool,
 }
 
-/// The mutex+condvar task queue both [`Pool`] (scoped, borrowing) and
+/// The mutex+condvar task queue both [`par_map`] (scoped, borrowing) and
 /// [`WorkQueue`] (owned, `'static`) workers loop on.
 struct Shared<T> {
     queue: Mutex<Queue<T>>,
@@ -101,20 +97,6 @@ impl<T> Shared<T> {
             .tasks
             .push_back(task);
         self.cv.notify_one();
-    }
-
-    /// Enqueues every task from the iterator under a single lock
-    /// acquisition, then wakes all workers once. Returns the number of
-    /// tasks enqueued.
-    fn push_batch(&self, tasks: impl Iterator<Item = T>) -> usize {
-        let n = {
-            let mut q = self.queue.lock().expect("pool queue poisoned");
-            let before = q.tasks.len();
-            q.tasks.extend(tasks);
-            q.tasks.len() - before
-        };
-        self.cv.notify_all();
-        n
     }
 
     /// Blocks until a task is available (FIFO) or shutdown is flagged
@@ -163,7 +145,7 @@ impl<T> Shared<T> {
 }
 
 /// Sets `shutdown` and wakes every worker. Runs on drop so workers are
-/// released even when the pool body panics — otherwise
+/// released even when `par_map` re-raises a panic — otherwise
 /// `std::thread::scope` would join blocked workers forever.
 struct ShutdownGuard<'a, T>(&'a Shared<T>);
 
@@ -173,152 +155,11 @@ impl<T> Drop for ShutdownGuard<'_, T> {
     }
 }
 
-enum Mode<'a, T, R> {
-    /// `jobs <= 1`: tasks run inline on `send`, results queue locally.
-    /// A faithful serial baseline with zero thread machinery.
-    Serial {
-        f: &'a dyn Fn(T) -> R,
-        ready: VecDeque<R>,
-    },
-    /// Worker threads drain the shared queue; results come back over a
-    /// bounded channel in completion order.
-    Threads {
-        shared: &'a Shared<T>,
-        rx: mpsc::Receiver<std::thread::Result<R>>,
-    },
-}
-
-/// A scoped worker pool: submit tasks with [`send`](Pool::send), collect
-/// results with [`recv`](Pool::recv). Results arrive in *completion*
-/// order (serial mode: submission order); callers that need positional
-/// order tag tasks with their index, as [`par_map`] does.
-///
-/// Built by [`Pool::scope`], which fixes the worker function for the
-/// pool's whole lifetime — the same N threads serve every task, so
-/// feeding the pool from a hot loop costs a queue push and a condvar
-/// signal, not a thread spawn.
-pub struct Pool<'a, T, R> {
-    mode: Mode<'a, T, R>,
-    pending: usize,
-}
-
-impl<T: Send, R: Send> Pool<'_, T, R> {
-    /// Runs `body` with a pool of `jobs` workers all executing `f`, and
-    /// returns `body`'s result. Workers live exactly as long as `body`:
-    /// they are scoped threads, joined before `scope` returns, so `f`
-    /// may borrow from the caller's stack.
-    ///
-    /// `capacity` pre-sizes the task queue and result channel; sized to
-    /// the maximum number of in-flight tasks, the steady state allocates
-    /// nothing per task. With `jobs <= 1` no threads are created and
-    /// every task runs inline on `send`.
-    pub fn scope<F, B, Out>(jobs: usize, capacity: usize, f: F, body: B) -> Out
-    where
-        F: Fn(T) -> R + Sync,
-        B: FnOnce(&mut Pool<'_, T, R>) -> Out,
-    {
-        if jobs <= 1 {
-            let mut pool = Pool {
-                mode: Mode::Serial {
-                    f: &f,
-                    ready: VecDeque::with_capacity(capacity),
-                },
-                pending: 0,
-            };
-            return body(&mut pool);
-        }
-        let shared = Shared::with_capacity(capacity);
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        std::thread::scope(|scope| {
-            let _guard = ShutdownGuard(&shared);
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let shared = &shared;
-                let f = &f;
-                scope.spawn(move || {
-                    while let Some(task) = shared.next_task() {
-                        // Catch so one panicking task reaches the caller
-                        // as a result instead of deadlocking its `recv`.
-                        let res = catch_unwind(AssertUnwindSafe(|| f(task)));
-                        if tx.send(res).is_err() {
-                            return; // caller gone (body panicked); stop
-                        }
-                    }
-                });
-            }
-            let mut pool = Pool {
-                mode: Mode::Threads {
-                    shared: &shared,
-                    rx,
-                },
-                pending: 0,
-            };
-            body(&mut pool)
-            // _guard drops here: shutdown + notify_all, then the scope
-            // joins the (now exiting) workers.
-        })
-    }
-
-    /// Submits one task. Serial mode runs it immediately on the calling
-    /// thread; threaded mode enqueues it and wakes one worker.
-    pub fn send(&mut self, task: T) {
-        self.pending += 1;
-        match &mut self.mode {
-            Mode::Serial { f, ready } => ready.push_back(f(task)),
-            Mode::Threads { shared, .. } => shared.push(task),
-        }
-    }
-
-    /// Submits a batch of tasks in one queue operation: threaded mode
-    /// takes the task-queue lock once and signals every worker once,
-    /// instead of a lock + wake per task — the hand-off pattern of the
-    /// parallel simulation backend's span dispatch, where all anchored
-    /// shards for a lookahead window ship together. Serial mode runs each
-    /// task inline in order, exactly like repeated [`send`](Pool::send).
-    pub fn send_batch(&mut self, tasks: impl Iterator<Item = T>) {
-        match &mut self.mode {
-            Mode::Serial { f, ready } => {
-                for task in tasks {
-                    self.pending += 1;
-                    ready.push_back(f(task));
-                }
-            }
-            Mode::Threads { shared, .. } => {
-                self.pending += shared.push_batch(tasks);
-            }
-        }
-    }
-
-    /// Receives one result, blocking until a task completes. Results
-    /// arrive in completion order (serial mode: submission order). If
-    /// the corresponding task panicked, the panic resumes here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with no outstanding [`send`](Pool::send).
-    pub fn recv(&mut self) -> R {
-        assert!(self.pending > 0, "Pool::recv without a matching send");
-        self.pending -= 1;
-        match &mut self.mode {
-            Mode::Serial { ready, .. } => ready.pop_front().expect("serial result is ready"),
-            Mode::Threads { rx, .. } => match rx.recv().expect("pool workers alive") {
-                Ok(r) => r,
-                Err(payload) => resume_unwind(payload),
-            },
-        }
-    }
-
-    /// Number of submitted tasks whose results have not been received.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-}
-
 /// A long-lived, owned worker queue: the daemon-grade sibling of
-/// [`Pool`].
+/// [`par_map`].
 ///
-/// Where `Pool` is scoped (workers live exactly as long as one call
-/// frame and panics re-raise at `recv`), a `WorkQueue` owns `'static`
+/// Where `par_map` is scoped (workers live exactly as long as one call
+/// and panics re-raise on the caller), a `WorkQueue` owns `'static`
 /// worker threads that keep serving tasks for the queue's whole
 /// lifetime. Tasks run strictly FIFO across all submitters, which is
 /// what gives the `dynapar-server` job queue its cross-client fairness.
@@ -354,7 +195,7 @@ pub struct WorkQueue<T: Send + 'static> {
 
 impl<T: Send + 'static> WorkQueue<T> {
     /// Starts `jobs.max(1)` worker threads, each running `f` on every
-    /// task it pops. Unlike [`Pool::scope`] there is no serial mode: a
+    /// task it pops. Unlike [`par_map`] there is no serial mode: a
     /// daemon must not execute jobs on its control thread, so even
     /// `jobs = 1` gets a real worker.
     pub fn new<F>(jobs: usize, f: F) -> Self
@@ -449,22 +290,41 @@ where
     }
     // Tag each item with its index so completion order cannot leak into
     // the output: results land positionally.
+    let shared = Shared::with_capacity(n);
+    for task in items.into_iter().enumerate() {
+        shared.push(task);
+    }
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    Pool::scope(
-        jobs.min(n),
-        n,
-        |(i, item): (usize, T)| (i, f(item)),
-        |pool| {
-            for task in items.into_iter().enumerate() {
-                pool.send(task);
+    std::thread::scope(|scope| {
+        let _guard = ShutdownGuard(&shared);
+        // Declared after the guard so it drops first on a panic: workers
+        // then stop at their next send instead of draining the queue.
+        let (tx, rx) = mpsc::sync_channel(n);
+        for _ in 0..jobs.min(n) {
+            let tx = tx.clone();
+            let shared = &shared;
+            let f = &f;
+            scope.spawn(move || {
+                while let Some((i, item)) = shared.next_task() {
+                    // Catch so one panicking item reaches the caller as a
+                    // result instead of deadlocking its `recv`.
+                    let res = catch_unwind(AssertUnwindSafe(|| f(item)));
+                    if tx.send((i, res)).is_err() {
+                        return; // caller gone (it is unwinding); stop
+                    }
+                }
+            });
+        }
+        for _ in 0..n {
+            match rx.recv().expect("par_map workers alive") {
+                (i, Ok(r)) => out[i] = Some(r),
+                (_, Err(payload)) => resume_unwind(payload),
             }
-            for _ in 0..n {
-                let (i, r) = pool.recv();
-                out[i] = Some(r);
-            }
-        },
-    );
+        }
+        // _guard drops here: shutdown + notify_all, then the scope
+        // joins the (now exiting) workers.
+    });
     out.into_iter()
         .map(|slot| slot.expect("every index receives exactly one result"))
         .collect()
@@ -531,6 +391,33 @@ mod tests {
     }
 
     #[test]
+    fn serial_mode_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = par_map((0..5).collect::<Vec<u32>>(), 1, |x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * x
+        });
+        assert_eq!(out, vec![0, 1, 4, 9, 16]);
+    }
+
+    #[test]
+    fn panic_with_items_still_queued_does_not_deadlock() {
+        // The first item panics while hundreds wait in the queue; the
+        // shutdown guard must release the workers so the scope joins.
+        for jobs in [1, 2] {
+            let r = std::panic::catch_unwind(|| {
+                par_map((0..500).collect::<Vec<u32>>(), jobs, |x| {
+                    if x == 0 {
+                        panic!("first item boom");
+                    }
+                    x
+                })
+            });
+            assert!(r.is_err(), "jobs {jobs}");
+        }
+    }
+
+    #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
     }
@@ -554,87 +441,6 @@ mod tests {
         assert_eq!(jobs_from_env(Some("zap"), 6), 6);
         assert_eq!(jobs_from_env(Some("0"), 6), 6);
         assert_eq!(jobs_from_env(Some(""), 6), 6);
-    }
-
-    #[test]
-    fn pool_runs_tasks_and_returns_results() {
-        for jobs in [1, 2, 4] {
-            let total: u64 = Pool::scope(jobs, 16, |x: u64| x * 2, |pool| {
-                for x in 0..16u64 {
-                    pool.send(x);
-                }
-                (0..16).map(|_| pool.recv()).sum()
-            });
-            assert_eq!(total, (0..16u64).map(|x| x * 2).sum(), "jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn pool_is_reusable_across_waves() {
-        // The sim backend's shape: many small send/recv waves against
-        // the same pool, with full drains between waves.
-        Pool::scope(3, 8, |x: u32| x + 1, |pool| {
-            for wave in 0..200u32 {
-                let k = (wave % 5) + 1;
-                for i in 0..k {
-                    pool.send(wave * 10 + i);
-                }
-                let mut got: Vec<u32> = (0..k).map(|_| pool.recv()).collect();
-                got.sort_unstable();
-                let want: Vec<u32> = (0..k).map(|i| wave * 10 + i + 1).collect();
-                assert_eq!(got, want);
-                assert_eq!(pool.pending(), 0);
-            }
-        });
-    }
-
-    #[test]
-    fn pool_send_batch_matches_individual_sends() {
-        for jobs in [1, 2, 4] {
-            let total: u64 = Pool::scope(jobs, 32, |x: u64| x + 1, |pool| {
-                let mut sum = 0;
-                for wave in 0..50u64 {
-                    pool.send_batch((0..7).map(|i| wave * 100 + i));
-                    assert_eq!(pool.pending(), 7);
-                    sum += (0..7).map(|_| pool.recv()).sum::<u64>();
-                    assert_eq!(pool.pending(), 0);
-                }
-                sum
-            });
-            let want: u64 = (0..50u64)
-                .flat_map(|w| (0..7u64).map(move |i| w * 100 + i + 1))
-                .sum();
-            assert_eq!(total, want, "jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn pool_serial_mode_runs_inline_in_order() {
-        Pool::scope(1, 4, |x: u32| x * x, |pool| {
-            pool.send(2);
-            pool.send(3);
-            assert_eq!(pool.pending(), 2);
-            assert_eq!(pool.recv(), 4);
-            assert_eq!(pool.recv(), 9);
-        });
-    }
-
-    #[test]
-    fn pool_task_panic_reaches_recv() {
-        for jobs in [1, 4] {
-            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                Pool::scope(jobs, 4, |x: u32| {
-                    if x == 1 {
-                        panic!("task boom");
-                    }
-                    x
-                }, |pool| {
-                    pool.send(1);
-                    pool.recv()
-                })
-            }));
-            assert!(r.is_err(), "jobs {jobs}");
-        }
     }
 
     #[test]
@@ -705,18 +511,5 @@ mod tests {
         // (the worker may pop more after the gate opens, racing stop).
         assert!(dropped.len() <= 4, "dropped {:?}", dropped);
         assert_eq!(ran.load(Ordering::SeqCst) + dropped.len(), 5);
-    }
-
-    #[test]
-    fn pool_body_panic_does_not_deadlock_workers() {
-        // Body panics with tasks still queued; the shutdown guard must
-        // release the sleeping workers so the scope can join them.
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Pool::scope(2, 4, |x: u32| x, |pool| {
-                pool.send(7);
-                panic!("body boom");
-            })
-        }));
-        assert!(r.is_err());
     }
 }

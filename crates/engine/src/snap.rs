@@ -202,7 +202,7 @@ impl<'a> ByteReader<'a> {
     /// a corrupted length cannot trigger a huge allocation.
     pub fn get_len(&mut self) -> Result<usize, SnapError> {
         let n = self.get_u64()?;
-        if n > self.buf.len() as u64 {
+        if n > self.remaining() as u64 {
             return Err(SnapError::Invalid("length prefix"));
         }
         Ok(n as usize)
@@ -290,6 +290,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_len(), Err(SnapError::Invalid("length prefix")));
+    }
+
+    #[test]
+    fn length_prefix_is_bounded_by_the_remaining_bytes() {
+        // A prefix that fits the whole buffer but not what is left after
+        // it (here: 16 bytes total, 8 left once the prefix is read).
+        let mut w = ByteWriter::new();
+        w.put_u64(9);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_len(), Err(SnapError::Invalid("length prefix")));
+        // Exactly the remaining count is accepted.
+        let mut w = ByteWriter::new();
+        w.put_u64(8);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_len(), Ok(8));
     }
 
     #[test]

@@ -65,19 +65,33 @@ impl WindowedTimeAvg {
     }
 
     /// Integrates the step function up to `now`, folding completed windows.
+    ///
+    /// O(1) however far `now` lies ahead: every window that starts and
+    /// ends inside the gap holds `current` throughout, so the last of
+    /// them alone decides the reported value.
     pub fn advance(&mut self, now: Cycle) {
         debug_assert!(now >= self.last_update, "time went backwards");
-        let mut t = self.last_update;
-        while t < now {
-            let window_end = self.window_start + self.window_len();
-            let seg_end = window_end.min(now);
-            self.accum += self.current * (seg_end - t).as_u64();
-            t = seg_end;
-            if t == window_end {
+        if now > self.last_update {
+            let len = self.window_len();
+            let (start, t, now_u) = (
+                self.window_start.as_u64(),
+                self.last_update.as_u64(),
+                now.as_u64(),
+            );
+            if now_u - start < len {
+                self.accum += self.current * (now_u - t);
+            } else {
+                // Close the window `t` falls in ...
+                self.accum += self.current * (start + len - t);
                 self.reported = self.accum >> self.window_log2;
-                self.accum = 0;
-                self.window_start = window_end;
-                self.completed_windows += 1;
+                // ... then every whole window up to `now`, at `current`.
+                let closed = (now_u - start) >> self.window_log2;
+                if closed > 1 {
+                    self.reported = (self.current * len) >> self.window_log2;
+                }
+                self.completed_windows += closed;
+                self.window_start = Cycle(start + (closed << self.window_log2));
+                self.accum = self.current * (now_u - self.window_start.as_u64());
             }
         }
         self.last_update = now;
@@ -160,15 +174,19 @@ impl WindowedEventAvg {
         }
     }
 
+    /// Closes every window that ends at or before `now`. O(1) however
+    /// far `now` lies ahead: only the first closed window can hold
+    /// samples, and empty windows leave `reported` alone.
     fn roll_to(&mut self, now: Cycle) {
-        let len = 1u64 << self.window_log2;
-        while self.window_start + len <= now {
+        let elapsed = now.as_u64().saturating_sub(self.window_start.as_u64());
+        let closed = elapsed >> self.window_log2;
+        if closed > 0 {
             if let Some(avg) = self.sum.checked_div(self.count) {
                 self.reported = avg;
             }
             self.sum = 0;
             self.count = 0;
-            self.window_start += len;
+            self.window_start += closed << self.window_log2;
         }
     }
 
@@ -180,7 +198,8 @@ impl WindowedEventAvg {
     /// Records one sample observed at `now`.
     pub fn record(&mut self, now: Cycle, value: u64) {
         self.roll_to(now);
-        self.sum += value;
+        // Saturating: a sum no real run can reach must not panic either.
+        self.sum = self.sum.saturating_add(value);
         self.count += 1;
         self.total_sum += value as u128;
         self.total_count += 1;
@@ -292,5 +311,74 @@ mod tests {
         w.advance(Cycle(16));
         w.advance(Cycle(64)); // empty windows pass
         assert_eq!(w.value(), 42);
+    }
+
+    /// The original window-by-window integration, kept as the oracle
+    /// for the O(1) gap skipping in `advance`.
+    fn stepped_time_avg(log2: u32, steps: &[(u64, i64)], end: u64) -> (u64, u64, u64) {
+        let len = 1u64 << log2;
+        let (mut start, mut accum, mut current, mut last) = (0u64, 0u64, 0u64, 0u64);
+        let (mut reported, mut completed) = (0u64, 0u64);
+        let mut advance = |now: u64, current: u64, accum: &mut u64, last: &mut u64| {
+            let mut t = *last;
+            while t < now {
+                let window_end = start + len;
+                let seg_end = window_end.min(now);
+                *accum += current * (seg_end - t);
+                t = seg_end;
+                if t == window_end {
+                    reported = *accum >> log2;
+                    *accum = 0;
+                    start = window_end;
+                    completed += 1;
+                }
+            }
+            *last = now;
+        };
+        for &(at, delta) in steps {
+            advance(at, current, &mut accum, &mut last);
+            current = current.saturating_add_signed(delta);
+        }
+        advance(end, current, &mut accum, &mut last);
+        (reported, completed, accum)
+    }
+
+    #[test]
+    fn gap_skipping_matches_window_by_window_integration() {
+        let mut rng = crate::DetRng::new(0x3a11);
+        for case in 0..200 {
+            let log2 = 1 + rng.below(6) as u32;
+            let mut at = 0u64;
+            let steps: Vec<(u64, i64)> = (0..rng.below(20))
+                .map(|_| {
+                    at += rng.below(1 << (log2 + 3));
+                    (at, rng.below(9) as i64 - 4)
+                })
+                .collect();
+            let end = at + rng.below(1 << (log2 + 4));
+            let mut w = WindowedTimeAvg::new(log2);
+            for &(t, delta) in &steps {
+                w.add(Cycle(t), delta);
+            }
+            w.advance(Cycle(end));
+            let (reported, completed, accum) = stepped_time_avg(log2, &steps, end);
+            assert_eq!(w.value(), reported, "case {case}");
+            assert_eq!(w.completed_windows(), completed, "case {case}");
+            assert_eq!(w.accum, accum, "case {case}");
+        }
+    }
+
+    #[test]
+    fn huge_gaps_cost_nothing() {
+        let mut t = WindowedTimeAvg::new(10);
+        t.set(Cycle(0), 7);
+        t.advance(Cycle(u64::MAX / 2));
+        assert_eq!(t.value(), 7);
+        assert_eq!(t.completed_windows(), (u64::MAX / 2) >> 10);
+        let mut e = WindowedEventAvg::new(10);
+        e.record(Cycle(0), u64::MAX);
+        e.record(Cycle(1), u64::MAX); // saturates instead of overflowing
+        e.advance(Cycle(u64::MAX - 1));
+        assert_eq!(e.value(), u64::MAX / 2);
     }
 }

@@ -13,8 +13,9 @@
 //! [`EventQueue`](crate::EventQueue): pops are non-decreasing in time, and
 //! events scheduled for the same cycle pop in push order (FIFO). That
 //! stability is part of the simulator's correctness contract — see the
-//! `EventQueue` docs and DESIGN.md — so the two backends are differentially
-//! tested to produce identical `(cycle, seq)` pop streams.
+//! `EventQueue` docs and DESIGN.md — so the wheel is differentially tested
+//! against that reference heap to produce identical `(cycle, seq)` pop
+//! streams.
 //!
 //! # Shape
 //!
@@ -340,6 +341,8 @@ impl<E> TimingWheel<E> {
     /// Rebuilds a wheel from a snapshot: `entries` in pop order (as
     /// returned by [`snapshot_entries`](Self::snapshot_entries)), the
     /// original `frontier`, and the original `total_pushed` counter.
+    /// Entries out of time order still pop in time order; same-cycle
+    /// entries pop in the order given.
     ///
     /// # Panics
     ///
@@ -347,7 +350,9 @@ impl<E> TimingWheel<E> {
     pub fn restore_entries(frontier: u64, pushed: u64, entries: Vec<(u64, E)>) -> Self {
         let mut w = TimingWheel::new();
         w.now = frontier;
-        w.peek_cache.set(entries.first().map(|&(t, _)| t));
+        // Not `entries.first()`: the entries may come from untrusted
+        // snapshot bytes, and any order files correctly.
+        w.peek_cache.set(entries.iter().map(|&(t, _)| t).min());
         for (at, event) in entries {
             assert!(
                 at >= frontier,
@@ -364,81 +369,6 @@ impl<E> TimingWheel<E> {
 impl<E> Default for TimingWheel<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A lazy min-heap of cycle keys answering one question cheaply: *what is
-/// the earliest noted time still ahead of the frontier?*
-///
-/// The parallel simulation backend uses two of these to compute its safe
-/// lookahead horizon (DESIGN.md §12): one notes the scheduled time of
-/// every non-anchor global event (the next cross-SMX effect already in
-/// the queue), the other notes per-warp lower bounds on warp-finish pops
-/// (the earliest cycle a *new* cross-SMX effect chain could start).
-/// Entries are never removed eagerly — stale keys are pruned from the
-/// front as the frontier advances, which keeps `note` O(log n) and the
-/// structure allocation-free at steady state (the heap's buffer is
-/// retained across prunes).
-#[derive(Default)]
-pub struct EventHorizon {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-}
-
-impl EventHorizon {
-    /// An empty tracker with a small pre-sized buffer.
-    pub fn new() -> Self {
-        EventHorizon {
-            heap: std::collections::BinaryHeap::with_capacity(64),
-        }
-    }
-
-    /// Notes a key. Duplicates are fine; they prune together.
-    #[inline]
-    pub fn note(&mut self, at: Cycle) {
-        self.heap.push(std::cmp::Reverse(at.as_u64()));
-    }
-
-    /// Drops every key strictly below `t` (keys equal to `t` stay).
-    pub fn prune_below(&mut self, t: Cycle) {
-        while let Some(&std::cmp::Reverse(k)) = self.heap.peek() {
-            if k >= t.as_u64() {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Drops every key at or below `t`. Only sound when the caller knows
-    /// all noted times ≤ `t` refer to already-consumed events (for the
-    /// event tracker: the global queue holds nothing at or before `t`).
-    pub fn prune_through(&mut self, t: Cycle) {
-        while let Some(&std::cmp::Reverse(k)) = self.heap.peek() {
-            if k > t.as_u64() {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// The smallest noted key, if any survive pruning.
-    #[inline]
-    pub fn min(&self) -> Option<Cycle> {
-        self.heap.peek().map(|&std::cmp::Reverse(k)| Cycle(k))
-    }
-
-    /// Forgets every key (used when re-priming after a restore).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Number of live (un-pruned) keys.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no keys survive pruning.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -640,39 +570,20 @@ mod tests {
     }
 
     #[test]
+    fn restore_of_unordered_entries_still_pops_in_time_order() {
+        // Snapshot bytes are outside input: entries that are not in pop
+        // order must not leave a stale peek cache behind.
+        let mut w = TimingWheel::restore_entries(0, 3, vec![(10, 'a'), (5, 'b'), (10, 'c')]);
+        assert_eq!(w.peek_time(), Some(Cycle(5)));
+        assert_eq!(w.pop(), Some((Cycle(5), 'b')));
+        assert_eq!(w.pop(), Some((Cycle(10), 'a')));
+        assert_eq!(w.pop(), Some((Cycle(10), 'c')));
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
     #[should_panic(expected = "before frontier")]
     fn restore_rejects_entries_before_frontier() {
         TimingWheel::restore_entries(10, 1, vec![(9, ())]);
-    }
-
-    #[test]
-    fn horizon_tracks_minimum_across_prunes() {
-        let mut h = EventHorizon::new();
-        assert_eq!(h.min(), None);
-        h.note(Cycle(30));
-        h.note(Cycle(10));
-        h.note(Cycle(10));
-        h.note(Cycle(20));
-        assert_eq!(h.min(), Some(Cycle(10)));
-        h.prune_below(Cycle(10));
-        assert_eq!(h.min(), Some(Cycle(10)), "equal keys survive prune_below");
-        h.prune_through(Cycle(10));
-        assert_eq!(h.min(), Some(Cycle(20)), "both duplicates pruned together");
-        h.prune_below(Cycle(25));
-        assert_eq!(h.min(), Some(Cycle(30)));
-        h.prune_through(Cycle(30));
-        assert_eq!(h.min(), None);
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn horizon_clear_forgets_everything() {
-        let mut h = EventHorizon::new();
-        h.note(Cycle(5));
-        assert_eq!(h.len(), 1);
-        h.clear();
-        assert_eq!(h.min(), None);
-        h.note(Cycle(7));
-        assert_eq!(h.min(), Some(Cycle(7)));
     }
 }

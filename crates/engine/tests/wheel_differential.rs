@@ -8,7 +8,7 @@
 //! the heap. Cases are seeded via [`DetRng`] and report their index for
 //! replay.
 
-use dynapar_engine::{Cycle, DetRng, EventQueue, QueueBackend, SchedQueue, TimingWheel};
+use dynapar_engine::{Cycle, DetRng, EventQueue, TimingWheel};
 
 const CASES: u64 = 64;
 
@@ -81,37 +81,5 @@ fn wheel_matches_heap_beyond_horizon() {
                 rng.below(100)
             }
         });
-    }
-}
-
-#[test]
-fn sched_queue_backends_pop_identical_streams() {
-    // The same check through the SchedQueue wrapper the simulator uses.
-    for case in 0..CASES {
-        let mut rng = DetRng::new(0x5c4e_d000 + case);
-        let mut a = SchedQueue::new(QueueBackend::Heap);
-        let mut b = SchedQueue::new(QueueBackend::Wheel);
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        for _ in 0..300 {
-            if rng.chance(0.55) || a.is_empty() {
-                let at = now + if rng.chance(0.4) { 0 } else { rng.below(200) };
-                a.push(Cycle(at), seq);
-                b.push(Cycle(at), seq);
-                seq += 1;
-            } else {
-                let x = a.pop();
-                let y = b.pop();
-                assert_eq!(x, y, "case {case}");
-                now = x.expect("non-empty").0.as_u64();
-            }
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y, "case {case} drain");
-            if x.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -486,12 +486,11 @@ pub fn canonical_json_hash(doc: &Json) -> u64 {
 /// string, the policy label, the generator seed, and the metrics level
 /// (metrics change artifact bytes, so two levels are two identities).
 ///
-/// **What is deliberately excluded:** host-side execution knobs that
-/// are guaranteed byte-invisible — the event-queue backend, `--jobs`,
-/// and `--sim-jobs` (the parallel backend's artifacts are byte-identical
-/// to sequential at every worker count; the determinism suite pins
-/// this). Excluding them is what lets a server memoize a `--sim-jobs 4`
-/// submit with a sequential one: same identity, same bytes.
+/// **What is deliberately excluded:** host-side knobs that are
+/// guaranteed byte-invisible — `--jobs`, and the `sim_jobs`/`sim_window`
+/// job keys the v1 wire protocol still accepts but ignores. Excluding
+/// them is what lets a server memoize a submit carrying `sim_jobs: 4`
+/// with a plain one: same identity, same bytes.
 ///
 /// The `workload` string is a convention, not free text: suite runs use
 /// `suite:<bench>@<scale>`, spec runs use `spec:<16-hex fnv of the spec

@@ -116,12 +116,7 @@ struct DpEntry {
 /// kernels reference. Specs are registered once per host launch (by
 /// pointer identity), after which every child launch copies plain ids
 /// around instead of cloning `Arc`s on the hot path.
-///
-/// `Clone` exists for the parallel backend: the table is frozen once the
-/// run starts (interning happens only at host-launch registration), so
-/// worker threads read a cheap `Arc`-sharing snapshot while the main
-/// thread keeps the original.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct SpecTable {
     classes: Vec<Arc<WorkClass>>,
     dps: Vec<DpEntry>,

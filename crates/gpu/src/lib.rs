@@ -88,7 +88,6 @@ mod kernel;
 pub mod mem;
 pub mod perfetto;
 mod profile;
-mod shard;
 mod sim;
 pub mod snap;
 mod smx;
@@ -108,13 +107,9 @@ pub use controller::{
 };
 pub use dynapar_engine::json::Json;
 pub use dynapar_engine::metrics::{MetricsLevel, MetricsRegistry};
-pub use dynapar_engine::QueueBackend;
 pub use ids::{CtaKey, HwqId, KernelId, SmxId, StreamId};
 pub use dynapar_engine::snap::SnapError;
-pub use sim::{
-    SimBackend, SimWindow, Simulation, SimulationBuilder, WatchHook, WatchSample, WinStats,
-    AUTO_WINDOW_CAP,
-};
+pub use sim::{SimWindow, Simulation, SimulationBuilder, WatchHook, WatchSample};
 pub use snap::{diff_snapshots, parse_snapshot, write_snapshot, SNAPSHOT_SCHEMA};
 pub use stats::{KernelRole, KernelSummary, SimReport, TimelineSample};
 pub use telemetry::TIMESERIES_SCHEMA;

@@ -207,7 +207,10 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Rejects a zero-sized geometry and truncated input.
+    /// Rejects a zero-sized geometry, a geometry whose tag array does
+    /// not fit in the remaining input (so a crafted header can neither
+    /// overflow `sets × ways` nor ask for a huge allocation), and
+    /// truncated input.
     pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, SnapError> {
         let sets = r.get_len()?;
         let ways = r.get_len()?;
@@ -217,8 +220,13 @@ impl Cache {
         let tick = r.get_u64()?;
         let accesses = r.get_u64()?;
         let hits = r.get_u64()?;
-        let mut lines = Vec::with_capacity(sets * ways);
-        for _ in 0..sets * ways {
+        // Each way is two u64s on the wire.
+        let n = sets
+            .checked_mul(ways)
+            .filter(|n| n.checked_mul(16).is_some_and(|b| b <= r.remaining()))
+            .ok_or(SnapError::Invalid("cache geometry exceeds the input"))?;
+        let mut lines = Vec::with_capacity(n);
+        for _ in 0..n {
             lines.push(Way {
                 tag: r.get_u64()?,
                 stamp: r.get_u64()?,
@@ -353,5 +361,54 @@ mod tests {
             assert_eq!(back.probe_fill(l), c.probe_fill(l), "line {l}");
         }
         assert_eq!(back.hits(), c.hits());
+    }
+
+    /// A cache header with the given geometry followed by `tail` bytes.
+    fn crafted(sets: u64, ways: u64, tail: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(sets);
+        w.put_u64(ways);
+        for _ in 0..3 {
+            w.put_u64(0); // tick, accesses, hits
+        }
+        let mut bytes = w.into_bytes();
+        bytes.resize(bytes.len() + tail, 0);
+        bytes
+    }
+
+    #[test]
+    fn decode_rejects_a_geometry_larger_than_the_input() {
+        // Both prefixes pass the reader's own length bound, but the tag
+        // array they describe (64 × 64 ways × 16 bytes) does not fit in
+        // what follows: a typed error, not a 64 KiB allocation followed
+        // by a truncation.
+        let bytes = crafted(64, 64, 4096);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            Cache::decode_state(&mut r).unwrap_err(),
+            SnapError::Invalid("cache geometry exceeds the input")
+        );
+        // One way short of the exact fit fails the same way; the exact
+        // fit decodes.
+        let bytes = crafted(4, 2, 4 * 2 * 16 - 1);
+        assert!(Cache::decode_state(&mut ByteReader::new(&bytes)).is_err());
+        let bytes = crafted(4, 2, 4 * 2 * 16);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(Cache::decode_state(&mut r).unwrap().capacity_lines(), 8);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn decode_rejects_oversized_and_zero_geometry_prefixes() {
+        let bytes = crafted(u64::MAX, u64::MAX, 64);
+        assert_eq!(
+            Cache::decode_state(&mut ByteReader::new(&bytes)).unwrap_err(),
+            SnapError::Invalid("length prefix")
+        );
+        let bytes = crafted(0, 4, 64);
+        assert_eq!(
+            Cache::decode_state(&mut ByteReader::new(&bytes)).unwrap_err(),
+            SnapError::Invalid("cache must have sets and ways")
+        );
     }
 }

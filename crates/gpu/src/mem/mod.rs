@@ -128,14 +128,8 @@ impl MshrSet {
 }
 
 /// One SMX's private slice of the memory hierarchy: its L1 data cache
-/// and MSHR set.
-///
-/// Split out of [`MemSystem`] so the parallel backend can probe L1 tags
-/// shard-locally (each shard owns its `SmxL1`) while the shared
-/// L2/DRAM/stats state stays behind the in-order merge phase. The
-/// sequential backend uses the exact same two-step path
-/// ([`SmxL1::probe`] then [`MemSystem::service_read`]), so the split is
-/// invisible to simulated timing and counters.
+/// and MSHR set. Each simulated SMX owns one and hands it to
+/// [`MemSystem::warp_read`] with every transaction.
 #[derive(Debug)]
 pub struct SmxL1 {
     cache: Cache,
@@ -153,12 +147,10 @@ impl SmxL1 {
 
     /// Probes every line of one warp transaction against the L1 tags in
     /// input order, filling on miss; returns the hit count and appends
-    /// the missing lines to `misses` (also in input order).
-    ///
-    /// Pure tag work: no statistics, no MSHRs, no lower levels — safe to
-    /// run concurrently across SMXs. Timing and counting happen when the
-    /// result is handed to [`MemSystem::service_read`].
-    pub fn probe(&mut self, lines: &[u64], misses: &mut Vec<u64>) -> u64 {
+    /// the missing lines to `misses` (also in input order). Pure tag
+    /// work: statistics, MSHRs and the lower levels are
+    /// [`MemSystem::warp_read`]'s business.
+    fn probe(&mut self, lines: &[u64], misses: &mut Vec<u64>) -> u64 {
         let mut hits = 0u64;
         for &line in lines {
             if self.cache.probe_fill(line) {
@@ -294,39 +286,18 @@ impl MemSystem {
         let mut misses = std::mem::take(&mut self.miss_buf);
         misses.clear();
         let hits = l1.probe(lines, &mut misses);
-        let done = self.service_read(now, l1, lines.len() as u64, hits, &misses, prof);
-        self.miss_buf = misses;
-        done
-    }
-
-    /// Second half of a warp read whose L1 probe already happened (via
-    /// [`SmxL1::probe`]): books the counters and walks every miss
-    /// through MSHR admission, the crossbar, L2, and DRAM. `total` is
-    /// the transaction's full line count (`hits + misses.len()`).
-    ///
-    /// This is the only place read statistics are updated, so a probe
-    /// deferred to a later merge phase (the parallel backend) books the
-    /// same counts as the inline sequential path.
-    pub(crate) fn service_read(
-        &mut self,
-        now: Cycle,
-        l1: &mut SmxL1,
-        total: u64,
-        hits: u64,
-        misses: &[u64],
-        prof: &mut Profiler,
-    ) -> Cycle {
-        self.stats.l1_accesses += total;
+        self.stats.l1_accesses += lines.len() as u64;
         self.stats.l1_hits += hits;
         let mut done = if hits > 0 {
             now + self.cfg.l1_hit_latency
         } else {
             now
         };
-        for &line in misses {
+        for &line in &misses {
             let completion = self.miss_line(now, &mut l1.mshrs, line, prof);
             done = done.max(completion);
         }
+        self.miss_buf = misses;
         done
     }
 
@@ -546,26 +517,6 @@ mod tests {
         let mut m = MemSystem::new(&small_cfg());
         m.warp_write(Cycle(0), 55, &mut np());
         assert_eq!(m.stats().writes, 1);
-    }
-
-    #[test]
-    fn deferred_probe_matches_inline_warp_read() {
-        // The parallel backend probes L1 shard-side and services the
-        // result later; the two-step path must book the same latency
-        // and counters as the one-call path.
-        let lines = [7u64, 8, 9, 7 + 256];
-        let mut m1 = MemSystem::new(&small_cfg());
-        let mut a1 = SmxL1::new(&small_cfg());
-        let inline_done = m1.warp_read(Cycle(5), &mut a1, &lines, &mut np());
-
-        let mut m2 = MemSystem::new(&small_cfg());
-        let mut a2 = SmxL1::new(&small_cfg());
-        let mut misses = Vec::new();
-        let hits = a2.probe(&lines, &mut misses);
-        let split_done =
-            m2.service_read(Cycle(5), &mut a2, lines.len() as u64, hits, &misses, &mut np());
-        assert_eq!(inline_done, split_done);
-        assert_eq!(m1.stats(), m2.stats());
     }
 
     #[test]

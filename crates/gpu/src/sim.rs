@@ -13,11 +13,10 @@ use std::sync::Arc;
 
 use dynapar_engine::json::Json;
 use dynapar_engine::metrics::{MetricsLevel, MetricsRegistry};
-use dynapar_engine::par::Pool;
 use dynapar_engine::profile::Profiler;
 use dynapar_engine::snap::{ByteReader, ByteWriter, SnapError};
 use dynapar_engine::stats::TimeWeighted;
-use dynapar_engine::{Cycle, EventHorizon, QueueBackend, SchedQueue};
+use dynapar_engine::{Cycle, TimingWheel};
 
 use crate::artifact::{CcqsSample, RunArtifact, RunOutcome};
 use crate::config::{CtaPlacement, GpuConfig, StreamPolicy};
@@ -29,9 +28,8 @@ use crate::ids::{KernelId, SmxId, StreamId};
 use crate::kernel::{AggCta, CtaDirectory, DpParams, KernelKind, KernelRt, SpecTable};
 use crate::mem::{coalesce_lines_parts, MemSystem};
 use crate::profile as ph;
-use crate::shard::{RoundOut, RoundTail, SmxShard, TickOp, SENTINEL};
 use crate::snap::{get_opt_cycle, put_opt_cycle};
-use crate::smx::{CtaRt, WarpRt};
+use crate::smx::{CtaRt, Smx, WarpRt};
 use crate::stats::{KernelRole, KernelSummary, SimReport, TimelineSample};
 use crate::telemetry::SimSeries;
 use crate::trace::{Trace, TraceEvent};
@@ -128,6 +126,21 @@ enum ReplayEntry {
     Observe(ControllerEvent),
 }
 
+impl ReplayEntry {
+    /// The cycle the call happened at, and the execution time it
+    /// reports (0 for calls that report none).
+    fn times(&self) -> (Cycle, u64) {
+        match *self {
+            ReplayEntry::Decide(ref req, _) => (req.now, 0),
+            ReplayEntry::Observe(ControllerEvent::ChildCtaStart { now }) => (now, 0),
+            ReplayEntry::Observe(
+                ControllerEvent::ChildCtaFinish { now, exec_cycles }
+                | ControllerEvent::ChildWarpFinish { now, exec_cycles },
+            ) => (now, exec_cycles),
+        }
+    }
+}
+
 fn put_decision(w: &mut ByteWriter, d: LaunchDecision) {
     w.put_u8(match d {
         LaunchDecision::Kernel => 0,
@@ -220,108 +233,19 @@ fn get_replay(r: &mut ByteReader<'_>) -> Result<ReplayEntry, SnapError> {
     })
 }
 
-/// Which event-loop drives a run.
+/// The lookahead-window setting of the `sim_window` job key.
 ///
-/// Both backends execute the *same* simulation: every report and
-/// artifact byte is identical across `Seq` and `Par(n)` for any `n`
-/// (pinned by the determinism suite). `Par` exploits the per-SMX wakeup
-/// wheels of PR 3: when several SMXs have anchors at the same cycle,
-/// their shard-local ticks (drain + issue + address generation + L1 tag
-/// probe) run concurrently on a persistent [`Pool`], and the outbound
-/// effects are merged into the global queue in pop order — conservative-
-/// window PDES with the window pinned to "one cycle, SMX-local work
-/// only" (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimBackend {
-    /// Single-threaded event loop (the default).
-    #[default]
-    Seq,
-    /// Deterministic parallel ticks on a pool of `n` workers; `0`/`1`
-    /// run the same batching machinery inline on the calling thread.
-    Par(usize),
-}
-
-/// Lookahead window policy for the parallel backend (DESIGN.md §12).
-///
-/// Controls only *how far ahead* a shard may run locally per hand-off,
-/// never what it computes: results are byte-identical across every
-/// width, which is why the window deliberately stays out of the
-/// artifact's config echo (and therefore out of the server's memo
-/// hash) — it is a property of the run, not of the simulated machine.
+/// The simulator has a single event loop, so this setting has no
+/// effect. The type survives only because the v1 wire protocol still
+/// accepts (and echoes) the `sim_jobs`/`sim_window` job keys, and API
+/// users build `dynapar_server::JobRequest` values with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimWindow {
-    /// Widen every span to the computed safe horizon, capped at
-    /// [`AUTO_WINDOW_CAP`] cycles (the default).
+    /// No explicit window (the default).
     #[default]
     Auto,
-    /// Cap spans at `n` cycles; `1` reproduces the PR 6 per-cycle
-    /// window, where every anchor tick pays its own hand-off.
+    /// An explicit window width in cycles (≥ 1 on the wire).
     Fixed(u64),
-}
-
-impl std::str::FromStr for SimWindow {
-    type Err = String;
-
-    /// Parses the `--sim-window` grammar: `auto` or an integer ≥ 1.
-    fn from_str(s: &str) -> Result<Self, String> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Ok(SimWindow::Auto);
-        }
-        match s.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(SimWindow::Fixed(n)),
-            _ => Err(format!(
-                "invalid sim window '{s}': expected 'auto' or an integer >= 1"
-            )),
-        }
-    }
-}
-
-/// Hard cap on [`SimWindow::Auto`] span width, in cycles. It bounds the
-/// worst-case merge lag (recorded-but-unreplayed work held in shard
-/// arenas) and keeps the horizon heaps short; in practice the guard
-/// bound binds first at a few tens of cycles, so raising this has no
-/// measurable effect.
-pub const AUTO_WINDOW_CAP: u64 = 256;
-
-/// Effective-window statistics of a parallel run: how many lookahead
-/// spans were dispatched and how wide they actually came out.
-/// Reported next to the artifact rather than inside it (exactly like
-/// [`RunOutcome::profile`]): realized widths depend on the backend and
-/// window flag, which must not leak into artifact bytes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WinStats {
-    /// Spans dispatched (including degenerate single-tick ones).
-    pub spans: u64,
-    /// Total anchor ticks executed across all spans.
-    pub ticks: u64,
-    /// Power-of-two span-width histogram: `hist[k]` counts spans whose
-    /// tick count `n` satisfies `2^k ≤ n < 2^(k+1)` (last bucket
-    /// open-ended).
-    pub hist: [u64; 16],
-}
-
-impl WinStats {
-    fn record(&mut self, ticks: u64) {
-        self.spans += 1;
-        self.ticks += ticks;
-        let b = (63 - ticks.max(1).leading_zeros()) as usize;
-        self.hist[b.min(15)] += 1;
-    }
-
-    /// True when no spans ran (e.g. a sequential run).
-    pub fn is_empty(&self) -> bool {
-        self.spans == 0
-    }
-
-    /// Folds another run's span statistics into this one (the perf
-    /// harness aggregates repeats and benchmarks this way).
-    pub fn merge(&mut self, other: &WinStats) {
-        self.spans += other.spans;
-        self.ticks += other.ticks;
-        for (a, b) in self.hist.iter_mut().zip(other.hist.iter()) {
-            *a += b;
-        }
-    }
 }
 
 /// One periodic observation handed to a [`WatchHook`] at every sampling
@@ -387,10 +311,7 @@ pub struct SimulationBuilder {
     trace_capacity: Option<usize>,
     metrics: MetricsLevel,
     stream_policy: Option<StreamPolicy>,
-    queue: QueueBackend,
     profile: bool,
-    backend: SimBackend,
-    window: SimWindow,
     snapshot_at: Option<u64>,
     snapshot_meta: Option<Json>,
     watch: Option<WatchHook>,
@@ -406,10 +327,7 @@ impl SimulationBuilder {
             trace_capacity: None,
             metrics: MetricsLevel::default(),
             stream_policy: None,
-            queue: QueueBackend::default(),
             profile: false,
-            backend: SimBackend::default(),
-            window: SimWindow::default(),
             snapshot_at: None,
             snapshot_meta: None,
             watch: None,
@@ -447,36 +365,6 @@ impl SimulationBuilder {
     /// whole config.
     pub fn stream(mut self, policy: StreamPolicy) -> Self {
         self.stream_policy = Some(policy);
-        self
-    }
-
-    /// Selects the global scheduler queue implementation (default:
-    /// [`QueueBackend::Wheel`]). Both backends share the same ordering
-    /// contract, so reports and artifacts are byte-identical across them;
-    /// the heap stays available for differential testing and head-to-head
-    /// benchmarking. Deliberately not part of [`GpuConfig`]: the backend
-    /// is a property of the run, not of the simulated machine, and must
-    /// not leak into the artifact's config echo.
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
-        self
-    }
-
-    /// Selects the execution backend (default: [`SimBackend::Seq`]).
-    /// Like the queue backend, this is a property of the run, not of the
-    /// simulated machine: results are byte-identical across backends and
-    /// the choice never leaks into the artifact's config echo.
-    pub fn backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the lookahead window for the parallel backend (default:
-    /// [`SimWindow::Auto`]). Ignored under [`SimBackend::Seq`]. Results
-    /// are byte-identical at every width — the window trades hand-off
-    /// overhead against merge lag, nothing else.
-    pub fn sim_window(mut self, window: SimWindow) -> Self {
-        self.window = window;
         self
     }
 
@@ -545,15 +433,13 @@ impl SimulationBuilder {
         if let Some(p) = self.stream_policy {
             cfg.stream_policy = p;
         }
-        let mut sim = Simulation::new(cfg, self.controller, self.queue);
+        let mut sim = Simulation::new(cfg, self.controller);
         sim.trace = self.trace_capacity.map(Trace::new);
         sim.metrics_level = self.metrics;
         if self.metrics.timeseries() {
             sim.timeseries = Some(Box::new(SimSeries::new(&sim.cfg)));
         }
         sim.prof.set_enabled(self.profile);
-        sim.backend = self.backend;
-        sim.window = self.window;
         sim.snapshot_at = self.snapshot_at.map(Cycle);
         sim.snapshot_meta = self.snapshot_meta;
         sim.watch = self.watch;
@@ -632,29 +518,10 @@ impl SimulationBuilder {
 /// ```
 pub struct Simulation {
     cfg: GpuConfig,
-    events: SchedQueue<Ev>,
+    events: TimingWheel<Ev>,
     gmu: Gmu,
-    smxs: Vec<SmxShard>,
+    smxs: Vec<Smx>,
     mem: MemSystem,
-    backend: SimBackend,
-    /// Lookahead window policy for the parallel backend.
-    window: SimWindow,
-    /// Par-only: min-heap over the times of scheduled non-anchor global
-    /// events (primed at parallel-loop entry, fed by `push_global`); the
-    /// minimum upper-bounds when the next such event can pop and mutate
-    /// an arbitrary shard.
-    ev_horizon: EventHorizon,
-    /// Par-only: min-heap of warp finish-pop lower bounds. A finish can
-    /// reach another shard only through the dispatch → CTA-start chain,
-    /// which costs at least `cta_dispatch_latency` cycles past the pop
-    /// — so `guard.min() + cta_dispatch_latency − 1` bounds the horizon
-    /// (DESIGN.md §12).
-    guard: EventHorizon,
-    /// True while the parallel loop runs: `push_global`,
-    /// `schedule_wakeup`, and `on_cta_start` feed the two heaps above.
-    par_tracking: bool,
-    /// Effective-window histogram of this run (empty under `Seq`).
-    win_stats: WinStats,
     kernels: Vec<KernelRt>,
     controller: Box<dyn LaunchController>,
     now: Cycle,
@@ -743,25 +610,19 @@ impl Simulation {
 
     /// Creates a simulator for `cfg` driven by `controller`; reached only
     /// through [`SimulationBuilder::build`], which validates upfront.
-    fn new(cfg: GpuConfig, controller: Box<dyn LaunchController>, queue: QueueBackend) -> Self {
+    fn new(cfg: GpuConfig, controller: Box<dyn LaunchController>) -> Self {
         cfg.validate().expect("invalid GPU configuration");
         let smxs = (0..cfg.smx_count)
-            .map(|i| SmxShard::new(SmxId(i as u8), &cfg))
+            .map(|i| Smx::new(SmxId(i as u8), &cfg))
             .collect();
         let mem = MemSystem::new(&cfg.mem);
         let gmu = Gmu::new(cfg.num_hwqs);
         Simulation {
             cfg,
-            events: SchedQueue::new(queue),
+            events: TimingWheel::new(),
             gmu,
             smxs,
             mem,
-            backend: SimBackend::Seq,
-            window: SimWindow::default(),
-            ev_horizon: EventHorizon::new(),
-            guard: EventHorizon::new(),
-            par_tracking: false,
-            win_stats: WinStats::default(),
             kernels: Vec::new(),
             controller,
             now: Cycle::ZERO,
@@ -912,7 +773,6 @@ impl Simulation {
             artifact,
             profile,
             snapshot: self.snapshot,
-            win: self.win_stats,
         }
     }
 
@@ -926,23 +786,7 @@ impl Simulation {
         // holding exactly the queue-pop and loop overhead and the
         // phases sum to the loop's wall time (coverage ≈ 1).
         self.prof.enter(ph::SCHED);
-        // While a snapshot is armed the run stays on the sequential
-        // loop — both backends produce byte-identical state (DESIGN.md
-        // §12), so this is invisible in every artifact, and it keeps
-        // the capture point well-defined (between whole events rather
-        // than mid-batch). The requested backend takes over right after
-        // the capture.
-        let finished = if self.snapshot_at.is_some() {
-            self.run_seq_to_snapshot()
-        } else {
-            false
-        };
-        if !finished {
-            match self.backend {
-                SimBackend::Seq => self.run_loop_seq(),
-                SimBackend::Par(jobs) => self.run_loop_par(jobs),
-            }
-        }
+        self.run_loop();
         self.prof.exit();
         assert!(
             self.live_kernels == 0,
@@ -953,44 +797,20 @@ impl Simulation {
         self.wall_ms = started.elapsed().as_secs_f64() * 1e3;
     }
 
-    /// The sequential loop with a snapshot trigger: once every event at
-    /// time ≤ `snapshot_at` has been handled, captures the container and
-    /// disarms. Returns `true` when the run finished *before* reaching
-    /// the snapshot cycle (no snapshot is captured then — the caller
-    /// gets a complete run and `RunOutcome::snapshot` stays `None`).
-    fn run_seq_to_snapshot(&mut self) -> bool {
-        let at = self.snapshot_at.expect("armed");
+    /// The event loop. An armed snapshot is captured (and disarmed) once
+    /// every event at time ≤ `snapshot_at` has been handled; a run that
+    /// finishes before reaching that cycle captures nothing and
+    /// `RunOutcome::snapshot` stays `None`.
+    fn run_loop(&mut self) {
         loop {
             self.peak_queue_depth = self.peak_queue_depth.max(self.events.len() as u64);
-            match self.events.peek_time() {
-                Some(t) if t > at => {
+            if let Some(at) = self.snapshot_at {
+                if self.events.peek_time().is_some_and(|t| t > at) {
                     self.capture_snapshot();
                     self.snapshot_at = None;
                     self.replay = None;
-                    return false;
                 }
-                Some(_) => {}
-                None => return true,
             }
-            let (t, ev) = self.events.pop().expect("peeked event");
-            assert!(
-                t.as_u64() <= self.cfg.max_cycles,
-                "simulation exceeded max_cycles={} (stall or runaway workload)",
-                self.cfg.max_cycles
-            );
-            debug_assert!(t >= self.now, "event time went backwards");
-            self.now = t;
-            self.events_global += 1;
-            self.handle(t, ev);
-            if self.live_kernels == 0 {
-                return true;
-            }
-        }
-    }
-
-    fn run_loop_seq(&mut self) {
-        loop {
-            self.peak_queue_depth = self.peak_queue_depth.max(self.events.len() as u64);
             let Some((t, ev)) = self.events.pop() else { break };
             assert!(
                 t.as_u64() <= self.cfg.max_cycles,
@@ -1005,393 +825,6 @@ impl Simulation {
                 break;
             }
         }
-    }
-
-    /// The parallel event loop. Identical to [`run_loop_seq`] at every
-    /// observable byte, but anchor handling is split in two. When an
-    /// anchor pops with no recorded work pending, the batch of same-cycle
-    /// anchored shards is shipped to the worker pool to run a multi-cycle
-    /// *lookahead span* ([`SmxShard::local_tick_span`]) bounded by
-    /// [`span_horizon`](Self::span_horizon); each recorded tick is then
-    /// replayed when its own anchor event pops — the exact global queue
-    /// position where the sequential backend would have handled it (see
-    /// DESIGN.md §12 for the safety argument).
-    ///
-    /// Anchors for distinct SMXs are the only event kind whose handlers
-    /// touch disjoint state up to the merge; everything else (GMU,
-    /// dispatch, CTA starts, samples) stays on this thread.
-    fn run_loop_par(&mut self, jobs: usize) {
-        // Workers read frozen snapshots of the config and spec table
-        // (interning only happens at host-launch registration, before
-        // `run`), so the closure borrows nothing from `self`.
-        let cfg2 = self.cfg.clone();
-        let specs2 = self.specs.clone();
-        let n = self.smxs.len();
-        // Placeholder shards swapped into `self.smxs` while the real
-        // shard is out on a worker; recycled for the whole run.
-        let mut spares: Vec<SmxShard> = (0..n).map(|_| SmxShard::new(SmxId(0), &self.cfg)).collect();
-        let mut batch: Vec<SmxId> = Vec::with_capacity(n);
-        let mut ship: Vec<SmxId> = Vec::with_capacity(n);
-        debug_assert!(
-            self.snapshot_at.is_none(),
-            "snapshots are captured on the sequential loop before the backend takes over"
-        );
-        // More workers than cores never helps compute-bound spans; on a
-        // single-core host the pool degrades to its inline serial mode,
-        // which keeps the span/merge protocol (and its byte-identical
-        // artifacts) while dropping every thread round-trip.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let jobs = jobs.min(cores);
-        self.prime_par_tracking();
-        Pool::scope(
-            jobs,
-            n,
-            move |(mut shard, start, horizon): (SmxShard, Cycle, Cycle)| {
-                shard.local_tick_span(start, horizon, &cfg2, &specs2);
-                shard
-            },
-            |pool| loop {
-                let mut level = self.events.len() as u64;
-                self.peak_queue_depth = self.peak_queue_depth.max(level);
-                let Some((t, ev)) = self.events.pop() else { break };
-                assert!(
-                    t.as_u64() <= self.cfg.max_cycles,
-                    "simulation exceeded max_cycles={} (stall or runaway workload)",
-                    self.cfg.max_cycles
-                );
-                debug_assert!(t >= self.now, "event time went backwards");
-                self.now = t;
-                self.events_global += 1;
-                let Ev::SmxWork(s0) = ev else {
-                    self.handle(t, ev);
-                    if self.live_kernels == 0 {
-                        break;
-                    }
-                    continue;
-                };
-                if self.smxs[s0.index()].has_recorded(t) {
-                    // This anchor's tick already ran inside a lookahead
-                    // span: replay it here, at its sequential position.
-                    self.prof.enter(ph::MERGE);
-                    self.merge_recorded_tick(t, s0.index());
-                    self.prof.exit();
-                    if self.live_kernels == 0 {
-                        break;
-                    }
-                    continue;
-                }
-                // Batch formation: pop further *same-cycle* events while
-                // they are SmxWork anchors; the first other-kind event is
-                // held and replayed after the batch (pop order preserved
-                // — same-cycle pushes enqueue FIFO behind it either way).
-                batch.clear();
-                batch.push(s0);
-                let mut held: Option<Ev> = None;
-                while self.events.peek_time() == Some(t) {
-                    let (_, e2) = self.events.pop().expect("peeked event");
-                    self.events_global += 1;
-                    match e2 {
-                        Ev::SmxWork(s) => batch.push(s),
-                        other => {
-                            held = Some(other);
-                            break;
-                        }
-                    }
-                }
-                // A held same-cycle event may mutate any shard the moment
-                // it runs; spans must not look past this cycle then.
-                let horizon = if held.is_some() { t } else { self.span_horizon(t) };
-                if batch.len() == 1 && held.is_none() && horizon == t {
-                    // Degenerate window: the sequential fast path.
-                    self.win_stats.record(1);
-                    self.handle(t, Ev::SmxWork(s0));
-                    if self.live_kernels == 0 {
-                        break;
-                    }
-                    continue;
-                }
-                self.prof.enter(ph::WIN);
-                // Local phase: swap each anchored shard without recorded
-                // work out against a spare (zero allocation) and run its
-                // span on the pool. Anchors are unique per SMX per cycle,
-                // so batch entries are distinct shards. Members that
-                // already hold a recorded tick for `t` (from an earlier
-                // span) skip the pool and merge below.
-                ship.clear();
-                ship.extend(
-                    batch
-                        .iter()
-                        .copied()
-                        .filter(|s| !self.smxs[s.index()].has_recorded(t)),
-                );
-                if jobs <= 1 || ship.len() == 1 {
-                    // Nothing can overlap: a lone shard would serialize on
-                    // the collect anyway, and a serial pool runs tasks on
-                    // this thread regardless. Run the spans in place —
-                    // same recording and replay, none of the channel or
-                    // spare-swap traffic.
-                    for &s in &ship {
-                        let si = s.index();
-                        self.smxs[si].local_tick_span(t, horizon, &self.cfg, &self.specs);
-                        self.win_stats.record(self.smxs[si].ticks.len() as u64);
-                    }
-                } else {
-                    {
-                        let smxs = &mut self.smxs;
-                        let spares = &mut spares;
-                        pool.send_batch(ship.iter().map(|&s| {
-                            let spare = spares.pop().expect("spare shard available");
-                            (std::mem::replace(&mut smxs[s.index()], spare), t, horizon)
-                        }));
-                    }
-                    for _ in 0..ship.len() {
-                        let shard = pool.recv();
-                        self.win_stats.record(shard.ticks.len() as u64);
-                        let si = shard.id.index();
-                        spares.push(std::mem::replace(&mut self.smxs[si], shard));
-                    }
-                }
-                self.prof.exit();
-                // Merge phase, in pop order: each batch member's tick at
-                // `t` is the front record of its span. `peak_queue_depth`
-                // samples are reconstructed retroactively: the sequential
-                // loop samples the queue before each pop, after the
-                // previous handler's pushes.
-                let mut prev_delta = 0u64;
-                for (j, &s) in batch.iter().enumerate() {
-                    if j > 0 {
-                        level = level - 1 + prev_delta;
-                        self.peak_queue_depth = self.peak_queue_depth.max(level);
-                    }
-                    let before = self.events.len() as u64;
-                    self.prof.enter(ph::MERGE);
-                    self.merge_recorded_tick(t, s.index());
-                    self.prof.exit();
-                    prev_delta = self.events.len() as u64 - before;
-                }
-                if let Some(hev) = held {
-                    if self.live_kernels == 0 {
-                        // The sequential loop would have stopped before
-                        // popping this event; un-pop it.
-                        self.events_global -= 1;
-                        break;
-                    }
-                    level = level - 1 + prev_delta;
-                    self.peak_queue_depth = self.peak_queue_depth.max(level);
-                    self.handle(t, hev);
-                }
-                if self.live_kernels == 0 {
-                    break;
-                }
-            },
-        );
-        self.par_tracking = false;
-        debug_assert!(
-            self.smxs.iter().all(|s| s.merge_exhausted()),
-            "run terminated with recorded span ticks pending"
-        );
-    }
-
-    /// Arms the lookahead heaps from live state at parallel-loop entry
-    /// (the loop may start mid-run, e.g. after a snapshot prefix): every
-    /// queued non-anchor event is tracked, and every scheduled or ready
-    /// warp gets a finish-pop lower bound.
-    fn prime_par_tracking(&mut self) {
-        self.par_tracking = true;
-        self.ev_horizon.clear();
-        self.guard.clear();
-        for (at, ev) in self.events.snapshot_entries() {
-            if !matches!(ev, Ev::SmxWork(_)) {
-                self.ev_horizon.note(Cycle(at));
-            }
-        }
-        let now = self.now;
-        for si in 0..self.smxs.len() {
-            for (at, slot) in self.smxs[si].local.snapshot_entries() {
-                let w = self.smxs[si].warp(slot);
-                let left = w.rounds_total.saturating_sub(w.rounds_done) as u64;
-                self.guard.note(Cycle(at) + left);
-            }
-            self.note_ready_guards(si, now);
-        }
-    }
-
-    /// Pushes a finish-pop lower bound for every currently-ready warp of
-    /// SMX `si`: it can issue no earlier than `base` and needs one cycle
-    /// per remaining round before its finish wakeup can pop. Ready warps
-    /// re-arm an anchor every cycle, so these keys are refreshed at every
-    /// tick tail a warp survives — which is what keeps pruning strictly
-    /// below the current cycle sound.
-    fn note_ready_guards(&mut self, si: usize, base: Cycle) {
-        let mut guard = std::mem::take(&mut self.guard);
-        let smx = &self.smxs[si].smx;
-        smx.for_each_ready(|slot| {
-            let w = smx.warp(slot);
-            let left = w.rounds_total.saturating_sub(w.rounds_done) as u64;
-            guard.note(base + left);
-        });
-        self.guard = guard;
-    }
-
-    /// The widest provably-safe lookahead horizon for spans dispatched at
-    /// `t`: no cross-shard mutation can land on any SMX within `[t, H]`,
-    /// so shards may run their anchor ticks locally through `H`. Three
-    /// bounds, each required (DESIGN.md §12): the window-policy cap; the
-    /// earliest scheduled non-anchor global event (its handler may touch
-    /// any shard the cycle it pops); and the guard heap of warp
-    /// finish-pop lower bounds (a finish cascades into another shard no
-    /// sooner than `cta_dispatch_latency` cycles after the pop).
-    fn span_horizon(&mut self, t: Cycle) -> Cycle {
-        let cap = match self.window {
-            SimWindow::Fixed(n) => n.max(1) - 1,
-            SimWindow::Auto => AUTO_WINDOW_CAP - 1,
-        };
-        if cap == 0 {
-            return t;
-        }
-        let mut h = t + cap;
-        // Every event ≤ t has popped by now (the batch drained cycle t),
-        // so stale tracker entries go and the rest are live and exact.
-        self.ev_horizon.prune_through(t);
-        if let Some(m) = self.ev_horizon.min() {
-            debug_assert!(m > t, "tracked global event survived its pop");
-            h = h.min(Cycle(m.as_u64() - 1));
-        }
-        // Guard keys equal to `t` stay: a finish popping this very cycle
-        // still bounds the horizon. Only strictly-past keys are stale.
-        self.guard.prune_below(t);
-        if let Some(k) = self.guard.min() {
-            let lat = self.cfg.cta_dispatch_latency;
-            h = h.min(Cycle((k.as_u64() + lat).saturating_sub(1)));
-        }
-        h.max(t)
-    }
-
-    /// Replays one recorded span tick of SMX `si` at its global pop
-    /// position: fold the tick's counters, apply its ops in sequential
-    /// order, feed its recorded guard keys, then run (or materialize)
-    /// the anchor tail. After the span's last record, the arenas reset
-    /// in place so the shard's next span allocates nothing.
-    fn merge_recorded_tick(&mut self, now: Cycle, si: usize) {
-        let rec = self.smxs[si].ticks[self.smxs[si].ticks_next];
-        debug_assert!(rec.cycle == now, "recorded tick out of step with its anchor");
-        let (ops_start, keys_start) = if self.smxs[si].ticks_next == 0 {
-            (0, 0)
-        } else {
-            let prev = self.smxs[si].ticks[self.smxs[si].ticks_next - 1];
-            (prev.ops_end as usize, prev.keys_end as usize)
-        };
-        self.smxs[si].events_local += rec.drained as u64;
-        self.peak_local_backlog = self.peak_local_backlog.max(rec.backlog_max);
-        let ops = std::mem::take(&mut self.smxs[si].ops);
-        let misses = std::mem::take(&mut self.smxs[si].miss_lines);
-        let keys = std::mem::take(&mut self.smxs[si].guard_keys);
-        for &op in &ops[ops_start..rec.ops_end as usize] {
-            match op {
-                TickOp::Finish { slot } => self.finish_warp(now, si, slot),
-                TickOp::Start { slot } => self.start_warp(now, si, slot),
-                TickOp::Round(r) => self.merge_round(now, si, r, &misses),
-            }
-        }
-        for &k in &keys[keys_start..rec.keys_end as usize] {
-            self.guard.note(k);
-        }
-        if rec.tail_applied {
-            // The anchor tail already ran inside the shard; only its won
-            // global pushes materialize here, in the sequential order
-            // (`now + 1` before the wakeup relay).
-            if let Some(at) = rec.anchor_after {
-                self.events.push(at, Ev::SmxWork(SmxId(si as u8)));
-            }
-            if let Some(at) = rec.anchor_relay {
-                self.events.push(at, Ev::SmxWork(SmxId(si as u8)));
-            }
-            if rec.dead_wakeup {
-                self.dead_wakeups += 1;
-            }
-        } else {
-            // Stop tick (the span's last): its ops above mutate live
-            // global state, so run the real `on_smx_work` tail.
-            if self.smxs[si].has_ready() {
-                self.ensure_anchor(si, now + 1);
-                self.note_ready_guards(si, now + 1);
-            }
-            if let Some(next) = self.smxs[si].local.peek_time() {
-                debug_assert!(next > now, "undrained wakeup at the anchor cycle");
-                self.ensure_anchor(si, next);
-            } else if rec.idle {
-                self.dead_wakeups += 1;
-            }
-        }
-        let shard = &mut self.smxs[si];
-        shard.ops = ops;
-        shard.miss_lines = misses;
-        shard.guard_keys = keys;
-        shard.ticks_next += 1;
-        if shard.ticks_next >= shard.ticks.len() {
-            // Span fully merged: reset the arenas, retaining capacity.
-            shard.ticks.clear();
-            shard.ticks_next = 0;
-            shard.ops.clear();
-            shard.miss_lines.clear();
-            shard.guard_keys.clear();
-        }
-    }
-
-    /// The merge half of one recorded round: globally-serviced memory
-    /// and stats, then the warp tail — fully replayed for deferred
-    /// tails, merely reconciled for applied ones (items accounting,
-    /// sentinel replacement, and the recorded pushes, in the order the
-    /// sequential `finish_round` would have produced them).
-    fn merge_round(&mut self, now: Cycle, si: usize, r: RoundOut, misses: &[u64]) {
-        self.prof.enter(ph::ROUND);
-        self.prof.enter(ph::CACHE);
-        let mem_done = if r.lines == 0 {
-            now
-        } else {
-            let miss = &misses[r.miss_off as usize..(r.miss_off + r.miss_len) as usize];
-            self.mem.service_read(
-                now,
-                &mut self.smxs[si].l1,
-                r.lines as u64,
-                r.hits,
-                miss,
-                &mut self.prof,
-            )
-        };
-        if let Some(line) = r.write_line {
-            self.mem.warp_write(now, line, &mut self.prof);
-        }
-        self.prof.exit(); // cache
-        match r.tail {
-            RoundTail::Deferred => {
-                self.finish_round(now, si, r.slot, r.compute, r.active, r.is_child, mem_done);
-            }
-            RoundTail::Applied { guard_key, anchor_push, sentinel } => {
-                if r.is_child {
-                    self.items_child += r.active as u64;
-                } else {
-                    self.items_inline += r.active as u64;
-                }
-                if sentinel {
-                    debug_assert!(mem_done > now, "sentinel stood in for a no-push round");
-                    let w = self.smxs[si].warp_mut(r.slot);
-                    let cell = w
-                        .outstanding_mem
-                        .iter_mut()
-                        .find(|c| **c == SENTINEL)
-                        .expect("deferred miss entry to replace");
-                    *cell = mem_done;
-                }
-                if self.par_tracking {
-                    self.guard.note(guard_key);
-                }
-                if let Some(at) = anchor_push {
-                    self.events.push(at, Ev::SmxWork(SmxId(si as u8)));
-                }
-            }
-        }
-        self.prof.exit(); // round
     }
 
     // ----- snapshot / resume --------------------------------------------
@@ -1425,11 +858,10 @@ impl Simulation {
     }
 
     /// Writes every field of dynamic simulation state, in declaration
-    /// order. The config, the backend choice, tracing, profiling, and
-    /// the buffer free-lists are deliberately excluded: the first two
-    /// are rebuilt by the resuming builder (and never affect artifact
-    /// bytes), the rest are observability/allocation concerns that leave
-    /// no trace in results.
+    /// order. The config, tracing, profiling, and the buffer free-lists
+    /// are deliberately excluded: the config is rebuilt by the resuming
+    /// builder, the rest are observability/allocation concerns that
+    /// leave no trace in results.
     fn encode_state(&mut self, w: &mut ByteWriter) {
         w.put_u64(self.now.as_u64());
         w.put_u32(self.live_kernels);
@@ -1438,8 +870,8 @@ impl Simulation {
         w.put_u64(self.rr_smx as u64);
         put_opt_cycle(w, self.dispatch_at);
         w.put_u32(self.inflight_launches);
-        // Global event queue, in pop order (backend-agnostic: a resume
-        // may restore a wheel snapshot into a heap and vice versa).
+        // Global event queue, in pop order. The wheel's frontier is not
+        // written: it equals `now` at every capture point.
         w.put_u64(self.events.total_pushed());
         let entries = self.events.snapshot_entries();
         w.put_len(entries.len());
@@ -1449,8 +881,8 @@ impl Simulation {
         }
         self.gmu.encode_state(w);
         w.put_len(self.smxs.len());
-        for shard in &mut self.smxs {
-            shard.encode_state(w);
+        for smx in &mut self.smxs {
+            smx.encode_state(w);
         }
         self.mem.encode_state(w);
         w.put_len(self.kernels.len());
@@ -1585,8 +1017,8 @@ impl Simulation {
         if n != self.smxs.len() {
             return Err(SnapError::Invalid("SMX count differs from configuration"));
         }
-        for shard in &mut self.smxs {
-            shard.decode_state(r)?;
+        for smx in &mut self.smxs {
+            smx.decode_state(r)?;
         }
         self.mem.decode_state(r)?;
         let n = r.get_len()?;
@@ -1621,9 +1053,8 @@ impl Simulation {
             }
         }
         // Safe to restore now that every entry is known to be ≥ now: the
-        // wheel backend requires its frontier ≤ every entry time.
-        self.events =
-            SchedQueue::restore_entries(self.events.backend(), self.now.as_u64(), pushed, entries);
+        // wheel requires its frontier ≤ every entry time.
+        self.events = TimingWheel::restore_entries(self.now.as_u64(), pushed, entries);
         self.occupancy = TimeWeighted::decode_state(r)?;
         self.parent_ctas_running = r.get_u32()?;
         self.child_ctas_running = r.get_u32()?;
@@ -1683,8 +1114,19 @@ impl Simulation {
         }
         let n = r.get_len()?;
         let mut log = Vec::with_capacity(n);
+        let mut last = Cycle::ZERO;
         for _ in 0..n {
-            log.push(get_replay(r)?);
+            let e = get_replay(r)?;
+            // Every call was recorded in simulated-time order, no later
+            // than the capture, and no execution outlasts the clock: a
+            // log that breaks this would feed the controller times it
+            // can never see in a real run.
+            let (at, exec) = e.times();
+            if at < last || at > self.now || exec > at.as_u64() {
+                return Err(SnapError::Invalid("controller log is out of time order"));
+            }
+            last = at;
+            log.push(e);
         }
         reader.finish()?;
         if same_policy {
@@ -1943,25 +1385,14 @@ impl Simulation {
             // Degenerate empty CTA: complete immediately.
             self.finish_cta(now, si, cta_slot);
         } else {
-            if self.par_tracking {
-                // The fresh warps are ready but unstarted (no wheel entry
-                // yet); their first finish wakeup cannot pop before
-                // `now + 1` (the prologue charges at least one cycle).
-                self.guard.note(now + 1);
-            }
             self.ensure_anchor(si, now);
         }
     }
 
-    /// Queues a non-anchor global event, keeping the parallel backend's
-    /// event-horizon tracker in sync so future lookahead spans stop short
-    /// of its cycle. Anchor (`SmxWork`) pushes bypass this: spans handle
-    /// their own shard's anchors and other shards' anchors are harmless.
+    /// Queues a non-anchor global event. Anchor (`SmxWork`) pushes go
+    /// through [`ensure_anchor`](Self::ensure_anchor), which dedupes them.
     fn push_global(&mut self, at: Cycle, ev: Ev) {
         debug_assert!(!matches!(ev, Ev::SmxWork(_)), "anchors are pushed directly");
-        if self.par_tracking {
-            self.ev_horizon.note(at);
-        }
         self.events.push(at, ev);
     }
 
@@ -1982,14 +1413,6 @@ impl Simulation {
     /// Schedules a warp wakeup on the SMX's local wheel and makes sure a
     /// global anchor will fire by then.
     fn schedule_wakeup(&mut self, si: usize, at: Cycle, slot: u32) {
-        if self.par_tracking {
-            // Finish-pop lower bound: the wakeup fires at `at`, and each
-            // remaining round costs at least one cycle before the warp's
-            // finish wakeup can pop.
-            let w = self.smxs[si].warp(slot);
-            let left = w.rounds_total.saturating_sub(w.rounds_done) as u64;
-            self.guard.note(at + left);
-        }
         self.smxs[si].local.push(at, slot);
         let backlog = self.smxs[si].local.len() as u64;
         self.peak_local_backlog = self.peak_local_backlog.max(backlog);
@@ -2038,13 +1461,6 @@ impl Simulation {
             }
             if self.smxs[si].has_ready() {
                 self.ensure_anchor(si, now + 1);
-                if self.par_tracking {
-                    // Refresh the ready-warp finish bounds: these keys are
-                    // re-noted at every tick tail the warp stays ready,
-                    // which is what keeps `span_horizon`'s strict pruning
-                    // sound.
-                    self.note_ready_guards(si, now + 1);
-                }
             }
         }
         if let Some(next) = self.smxs[si].local.peek_time() {
@@ -2403,10 +1819,8 @@ impl Simulation {
         self.prof.exit(); // round
     }
 
-    /// The backend-shared tail of a round: items accounting, the MLP
-    /// window, and the wakeup at the round's completion time. Runs on
-    /// the main thread in both backends (in the parallel one, as part of
-    /// the merge replay).
+    /// The tail of a round: items accounting, the MLP window, and the
+    /// wakeup at the round's completion time.
     #[allow(clippy::too_many_arguments)]
     fn finish_round(
         &mut self,
@@ -2425,10 +1839,6 @@ impl Simulation {
         }
         let mlp = self.cfg.mlp_depth as usize;
         let w = self.smxs[si].warp_mut(slot);
-        debug_assert!(
-            w.outstanding_mem.iter().all(|&d| d != SENTINEL),
-            "deferred round tail ran with an unresolved sentinel"
-        );
         w.rounds_done += 1;
         // Loop-level memory pipelining: the warp only stalls on a round's
         // memory once `mlp_depth` requests are in flight, except at its
@@ -2957,68 +2367,6 @@ mod tests {
         assert_eq!(a.items_inline, b.items_inline);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.events_processed, b.events_processed);
-    }
-
-    fn run_backend(
-        controller: Box<dyn LaunchController>,
-        dp: Option<Arc<DpSpec>>,
-        backend: SimBackend,
-    ) -> SimReport {
-        let mut sim = Simulation::builder(GpuConfig::test_small())
-            .controller(controller)
-            .backend(backend)
-            .build();
-        sim.launch_host(imbalanced_kernel(dp));
-        sim.run().report
-    }
-
-    /// The parallel backend must be bit-identical to the sequential one
-    /// on every observable report field, for any worker count. The full
-    /// artifact-byte matrix lives in the bench crate; this is the
-    /// in-crate canary.
-    #[test]
-    fn parallel_backend_matches_sequential_report() {
-        type Mk = fn() -> Box<dyn LaunchController>;
-        let controllers: [Mk; 3] = [
-            || Box::new(crate::InlineAll),
-            || Box::new(LaunchOverThreshold),
-            || Box::new(AggregateOverThreshold),
-        ];
-        for mk in controllers {
-            let seq = run_backend(mk(), Some(dp_spec(64)), SimBackend::Seq);
-            for jobs in [1usize, 2, 4, 7] {
-                let par = run_backend(mk(), Some(dp_spec(64)), SimBackend::Par(jobs));
-                let name = format!("{} jobs={jobs}", seq.controller);
-                assert_eq!(seq.total_cycles, par.total_cycles, "{name}");
-                assert_eq!(seq.child_kernels_launched, par.child_kernels_launched, "{name}");
-                assert_eq!(seq.launch_requests, par.launch_requests, "{name}");
-                assert_eq!(seq.inlined_requests, par.inlined_requests, "{name}");
-                assert_eq!(seq.aggregated_launches, par.aggregated_launches, "{name}");
-                assert_eq!(seq.aggregated_ctas, par.aggregated_ctas, "{name}");
-                assert_eq!(seq.child_ctas_executed, par.child_ctas_executed, "{name}");
-                assert_eq!(seq.items_inline, par.items_inline, "{name}");
-                assert_eq!(seq.items_child, par.items_child, "{name}");
-                assert_eq!(seq.mem, par.mem, "{name}");
-                assert_eq!(seq.events_processed, par.events_processed, "{name}");
-                assert_eq!(seq.events_global, par.events_global, "{name}");
-                assert_eq!(seq.events_local, par.events_local, "{name}");
-                assert_eq!(seq.dead_wakeups, par.dead_wakeups, "{name}");
-                assert_eq!(seq.peak_queue_depth, par.peak_queue_depth, "{name}");
-                assert_eq!(seq.peak_local_backlog, par.peak_local_backlog, "{name}");
-                assert_eq!(
-                    seq.occupancy.to_bits(),
-                    par.occupancy.to_bits(),
-                    "{name}"
-                );
-                assert_eq!(
-                    seq.avg_child_queue_latency.to_bits(),
-                    par.avg_child_queue_latency.to_bits(),
-                    "{name}"
-                );
-                assert_eq!(seq.child_cta_exec_cycles, par.child_cta_exec_cycles, "{name}");
-                assert_eq!(seq.child_launch_cycles, par.child_launch_cycles, "{name}");
-            }
-        }
     }
 
     #[test]
@@ -4172,22 +3520,6 @@ mod snapshot_tests {
                 assert_eq!(back.report.total_cycles, cold.report.total_cycles);
             }
         }
-    }
-
-    #[test]
-    fn resume_on_parallel_backend_matches() {
-        let cold = cold_run(MetricsLevel::Full);
-        let cold_art = cold.artifact.as_ref().unwrap().to_string();
-        let snap = armed_run(MetricsLevel::Full, cold.report.total_cycles / 2)
-            .snapshot
-            .unwrap();
-        let resumed = Simulation::builder(GpuConfig::test_small())
-            .controller(launcher())
-            .metrics(MetricsLevel::Full)
-            .backend(SimBackend::Par(2))
-            .build_resumed(&snap)
-            .expect("valid snapshot");
-        assert_eq!(resumed.run().artifact.unwrap().to_string(), cold_art);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use dynapar_engine::{Cycle, TimingWheel};
 use crate::config::{GpuConfig, SchedulerKind};
 use crate::ids::{KernelId, SmxId, StreamId};
 use crate::kernel::ClassId;
+use crate::mem::SmxL1;
 use crate::snap::{
     decode_thread_work, encode_thread_work, get_cycle, get_opt_u32, put_cycle, put_opt_u32,
 };
@@ -23,9 +24,7 @@ pub(crate) struct WarpRt {
     /// Owning kernel.
     pub kernel: KernelId,
     /// The kernel's interned work class, mirrored here at install time so
-    /// the round hot path (and the parallel backend's shard-local tick,
-    /// which must not read the growing kernel table) resolves the class
-    /// without touching `kernel`.
+    /// the round hot path resolves the class without touching `kernel`.
     pub class: ClassId,
     /// Work performed by dynamically-launched code?
     pub is_child_work: bool,
@@ -84,7 +83,8 @@ pub(crate) struct CtaRt {
     pub cta_stream: Option<StreamId>,
 }
 
-/// One SMX: capacity limits, resident CTAs/warps, and the issue scheduler.
+/// One SMX: capacity limits, resident CTAs/warps, the issue scheduler,
+/// and its private L1.
 pub(crate) struct Smx {
     pub id: SmxId,
     max_threads: u32,
@@ -128,6 +128,15 @@ pub(crate) struct Smx {
     pub warps_launched: u64,
     /// High-water mark of resident warps.
     pub peak_resident_warps: u32,
+    /// Local wakeups drained by this SMX (summed into the report).
+    pub events_local: u64,
+    /// This SMX's private L1 tag + MSHR state; L2/DRAM live in the
+    /// shared `MemSystem`.
+    pub l1: SmxL1,
+    /// Coalescing buffer: sequential addresses, then the merged lines.
+    pub addr_buf: Vec<u64>,
+    /// Merge target for the two-block coalescer; swaps with `addr_buf`.
+    pub scratch_buf: Vec<u64>,
 }
 
 impl Smx {
@@ -159,6 +168,10 @@ impl Smx {
             ctas_executed: 0,
             warps_launched: 0,
             peak_resident_warps: 0,
+            events_local: 0,
+            l1: SmxL1::new(&cfg.mem),
+            addr_buf: Vec::with_capacity(128),
+            scratch_buf: Vec::with_capacity(128),
         }
     }
 
@@ -285,26 +298,10 @@ impl Smx {
         self.ready_count > 0
     }
 
-    /// Calls `f` for every slot currently in the ready set, in slot
-    /// order. Read-only: issue priority is `select_ready`'s business —
-    /// this exists so the parallel backend can bound the finish time of
-    /// warps that are ready but not yet issued (DESIGN.md §12).
-    pub fn for_each_ready(&self, mut f: impl FnMut(u32)) {
-        for (wi, &word) in self.ready_mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(wi as u32 * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-    }
-
     /// The registration half of the global anchor dedupe: records `at`
     /// iff no pending anchor covers it (every pending anchor fires at a
     /// later cycle) and returns whether it did — the caller then owes the
-    /// matching global `SmxWork` event. Shared between the sequential
-    /// `ensure_anchor` and the span ticks of the parallel backend, which
-    /// must dedupe locally and let the merge materialize the event.
+    /// matching global `SmxWork` event.
     pub fn try_anchor(&mut self, at: Cycle) -> bool {
         if self.anchors.iter().all(|&a| a > at) {
             self.anchors.push(at);
@@ -402,9 +399,10 @@ impl Smx {
 
     /// Serializes every dynamic field of the SMX: resource accounting,
     /// resident CTAs/warps, free lists, the ready set, scheduler cursors,
-    /// the local wakeup wheel, pending anchors, and lifetime counters.
-    /// Capacity limits and the scheduling discipline are rebuilt from the
-    /// config. Takes `&mut self` only because the wheel walk does
+    /// the local wakeup wheel, pending anchors, lifetime counters, the
+    /// L1/MSHR state, and the local-event counter. Capacity limits and
+    /// the scheduling discipline are rebuilt from the config; the
+    /// coalescing buffers are empty between events and are not written. Takes `&mut self` only because the wheel walk does
     /// (observably unchanged — see `TimingWheel::snapshot_entries`).
     pub fn encode_state(&mut self, w: &mut ByteWriter) {
         w.put_u32(self.used_threads);
@@ -465,6 +463,8 @@ impl Smx {
         w.put_u64(self.ctas_executed);
         w.put_u64(self.warps_launched);
         w.put_u32(self.peak_resident_warps);
+        self.l1.encode_state(w);
+        w.put_u64(self.events_local);
     }
 
     /// Restores [`encode_state`](Smx::encode_state) bytes into a
@@ -545,6 +545,8 @@ impl Smx {
         self.ctas_executed = r.get_u64()?;
         self.warps_launched = r.get_u64()?;
         self.peak_resident_warps = r.get_u32()?;
+        self.l1 = SmxL1::decode_state(r)?;
+        self.events_local = r.get_u64()?;
         Ok(())
     }
 

@@ -2,8 +2,7 @@
 //!
 //! A [`JobRequest`] is everything needed to run one simulation and emit
 //! its [`RunArtifact`]: a workload reference, a policy, a seed, a
-//! metrics level, a GPU preset, and the (byte-invisible) execution
-//! backend. The CLI's `run` subcommand and the daemon's `submit`
+//! metrics level, and a GPU preset. The CLI's `run` subcommand and the daemon's `submit`
 //! request both construct this type and both execute through
 //! [`JobRequest::run`], so a `dynapar run` and a server submit with
 //! equal configs produce *byte-identical* artifacts — that identity is
@@ -18,8 +17,7 @@ use dynapar_engine::fnv1a_64;
 use dynapar_engine::json::Json;
 use dynapar_gpu::{
     CanonicalConfig, ChildRequest, ControllerEvent, GpuConfig, LaunchController, LaunchDecision,
-    MetricsLevel, MonitoredMetrics, QueueBackend, RunArtifact, RunOutcome, SimBackend, SimWindow,
-    WatchHook,
+    MetricsLevel, MonitoredMetrics, RunArtifact, RunOutcome, SimWindow, WatchHook,
 };
 use dynapar_workloads::{suite, Benchmark, BenchmarkSpec, RunOptions, Scale};
 
@@ -156,13 +154,14 @@ pub struct JobRequest {
     pub metrics: MetricsLevel,
     /// GPU preset.
     pub gpu: GpuPreset,
-    /// Worker threads inside the simulation ([`SimBackend::Par`]);
-    /// `None` is the sequential backend. Byte-invisible — deliberately
-    /// *not* part of [`canonical`](JobRequest::canonical), which is why
-    /// a parallel submit can hit a sequential run's memo entry.
+    /// The v1 `sim_jobs` wire key. Accepted, validated (≥ 1) and echoed
+    /// for v1 compatibility, but without effect: every simulation runs
+    /// on the one event loop. Not part of
+    /// [`canonical`](JobRequest::canonical), so a submit carrying it
+    /// hits the memo entry of the same job without it.
     pub sim_jobs: Option<usize>,
-    /// Lookahead window for the parallel backend. Byte-invisible like
-    /// `sim_jobs` and likewise excluded from the canonical identity.
+    /// The v1 `sim_window` wire key; accepted, validated and echoed
+    /// like `sim_jobs`, and likewise without effect.
     pub sim_window: SimWindow,
 }
 
@@ -289,15 +288,8 @@ impl JobRequest {
         } else {
             inner
         };
-        let backend = match self.sim_jobs {
-            Some(n) => SimBackend::Par(n),
-            None => SimBackend::Seq,
-        };
         let mut opts = RunOptions {
             trace_capacity,
-            queue: QueueBackend::default(),
-            backend,
-            window: self.sim_window,
             snapshot_at: None,
             snapshot_meta: None,
             watch,
@@ -357,8 +349,9 @@ impl JobRequest {
     /// a default config), and exactly one of `bench`/`spec` is required.
     ///
     /// Defaults for omitted keys: `scale` paper, `seed` the suite
-    /// default, `metrics` full, `gpu` kepler-k20m, `sim_jobs`
-    /// sequential.
+    /// default, `metrics` full, `gpu` kepler-k20m. The v1 keys
+    /// `sim_jobs` and `sim_window` are still accepted (each must be an
+    /// integer ≥ 1) and echoed, but have no effect.
     ///
     /// # Errors
     ///
@@ -609,8 +602,8 @@ mod tests {
 
     #[test]
     fn sim_window_rides_the_wire_but_not_the_identity() {
-        // Auto is the default and stays off the wire, so pre-window
-        // clients and servers interoperate unchanged.
+        // Auto is the default and stays off the wire; an explicit width
+        // is echoed so a v1 request round-trips.
         let auto = tiny_req();
         assert!(
             !auto.to_json().to_string().contains("sim_window"),
@@ -621,8 +614,8 @@ mod tests {
         assert!(fixed.to_json().to_string().contains("\"sim_window\":8"));
         let back = JobRequest::from_json(&fixed.to_json()).expect("round-trip");
         assert_eq!(back, fixed);
-        // Like sim_jobs, the window is a host-side execution knob:
-        // byte-invisible, so it must not split the memo key.
+        // Like sim_jobs, the key has no effect, so it must not split the
+        // memo key.
         assert_eq!(auto.canonical_hash(), fixed.canonical_hash());
         let bad = Json::parse(r#"{"bench":"AMR","policy":"spawn","sim_window":0}"#).unwrap();
         let err = JobRequest::from_json(&bad).unwrap_err();
@@ -632,9 +625,9 @@ mod tests {
     #[test]
     fn canonical_identity_ignores_sim_jobs() {
         let seq = tiny_req();
-        let mut par = tiny_req();
-        par.sim_jobs = Some(4);
-        assert_eq!(seq.canonical_hash(), par.canonical_hash());
+        let mut with_key = tiny_req();
+        with_key.sim_jobs = Some(4);
+        assert_eq!(seq.canonical_hash(), with_key.canonical_hash());
         let mut other = tiny_req();
         other.seed += 1;
         assert_ne!(seq.canonical_hash(), other.canonical_hash());
@@ -644,12 +637,12 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_byte_identical_across_backends() {
-        let seq = tiny_req().artifact().expect("seq");
-        let mut preq = tiny_req();
-        preq.sim_jobs = Some(4);
-        let par = preq.artifact().expect("par");
-        assert_eq!(seq.to_string(), par.to_string());
+    fn sim_jobs_key_leaves_artifacts_unchanged() {
+        let plain = tiny_req().artifact().expect("plain");
+        let mut with_key = tiny_req();
+        with_key.sim_jobs = Some(4);
+        let keyed = with_key.artifact().expect("with sim_jobs");
+        assert_eq!(plain.to_string(), keyed.to_string());
     }
 
     #[test]

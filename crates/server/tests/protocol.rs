@@ -121,8 +121,7 @@ fn mid_stream_disconnect_does_not_kill_the_daemon() {
 #[test]
 fn submit_status_result_round_trip_is_byte_identical_to_direct_run() {
     // The acceptance bar: a server round-trip must reproduce the CLI
-    // artifact byte for byte, on both the sequential and the parallel
-    // simulation backend.
+    // artifact byte for byte, with and without the v1 `sim_jobs` key.
     for sim_jobs in [None, Some(4)] {
         let job = tiny_job("AMR", PolicySpec::Spawn, sim_jobs);
         let direct = job.run(None).expect("direct run");
@@ -162,16 +161,16 @@ fn submit_status_result_round_trip_is_byte_identical_to_direct_run() {
 }
 
 #[test]
-fn sequential_and_parallel_submissions_share_one_memo_entry() {
-    // sim_jobs is not part of the canonical config (artifacts are
-    // byte-identical across backends), so a par:4 submit after a seq
-    // run is a memo hit.
+fn sim_jobs_key_is_accepted_and_shares_the_plain_memo_entry() {
+    // The v1 `sim_jobs` key is still accepted but has no effect and is
+    // not part of the canonical config, so a `sim_jobs: 4` submit after
+    // the same job without it is a memo hit with identical bytes.
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
-    let seq = tiny_job("GC-citation", PolicySpec::Baseline, None);
-    let par = tiny_job("GC-citation", PolicySpec::Baseline, Some(4));
-    let first = client.run(&seq).expect("seq run");
-    let second = client.run(&par).expect("par run");
+    let plain = tiny_job("GC-citation", PolicySpec::Baseline, None);
+    let keyed = tiny_job("GC-citation", PolicySpec::Baseline, Some(4));
+    let first = client.run(&plain).expect("plain run");
+    let second = client.run(&keyed).expect("run with sim_jobs");
     assert!(!first.cached && second.cached);
     assert_eq!(first.hash, second.hash);
     assert_eq!(first.artifact.to_string(), second.artifact.to_string());

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use dynapar_gpu::{
-    GpuConfig, Json, KernelDesc, LaunchController, MetricsLevel, QueueBackend, RunOutcome,
-    SimBackend, SimReport, SimWindow, Simulation, SnapError, ThreadSource, ThreadWork, WatchHook,
+    GpuConfig, Json, KernelDesc, LaunchController, MetricsLevel, RunOutcome, SimReport,
+    Simulation, SnapError, ThreadSource, ThreadWork, WatchHook,
 };
 
 /// Input-size presets.
@@ -70,22 +70,14 @@ pub mod regions {
 }
 
 /// Run knobs beyond the `(config, controller, metrics)` triple: the
-/// execution backends, the optional decision trace, the warm-start
-/// snapshot arming, and the live watch hook. Everything here is either
-/// byte-invisible observation or a backend choice that never changes
-/// simulated behavior — deliberately disjoint from the canonical run
-/// identity.
+/// optional decision trace, the warm-start snapshot arming, and the
+/// live watch hook. Everything here is byte-invisible observation that
+/// never changes simulated behavior — deliberately disjoint from the
+/// canonical run identity.
 #[derive(Default)]
 pub struct RunOptions {
     /// Bounded decision trace capacity (incompatible with snapshots).
     pub trace_capacity: Option<usize>,
-    /// Event-queue backend (default wheel).
-    pub queue: QueueBackend,
-    /// Execution backend (default sequential).
-    pub backend: SimBackend,
-    /// Lookahead window policy for the parallel backend (default auto;
-    /// byte-invisible — the window changes wall time only).
-    pub window: SimWindow,
     /// Arm a snapshot capture at this cycle; the container comes back
     /// in [`RunOutcome::snapshot`].
     pub snapshot_at: Option<u64>,
@@ -104,10 +96,7 @@ impl RunOptions {
     ) -> dynapar_gpu::SimulationBuilder {
         let mut builder = Simulation::builder(cfg.clone())
             .controller(controller)
-            .metrics(metrics)
-            .queue(self.queue)
-            .backend(self.backend)
-            .sim_window(self.window);
+            .metrics(metrics);
         if let Some(cap) = self.trace_capacity {
             builder = builder.trace(cap);
         }
@@ -248,52 +237,18 @@ impl Benchmark {
         trace_capacity: Option<usize>,
         metrics: MetricsLevel,
     ) -> RunOutcome {
-        self.run_full_on(cfg, controller, trace_capacity, metrics, QueueBackend::default())
-    }
-
-    /// [`Benchmark::run_full`] on an explicit event-queue backend. The
-    /// backend changes only how fast the host simulates, never what is
-    /// simulated: reports and artifacts are byte-identical across
-    /// backends (the determinism suite pins this).
-    pub fn run_full_on(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        trace_capacity: Option<usize>,
-        metrics: MetricsLevel,
-        queue: QueueBackend,
-    ) -> RunOutcome {
-        self.run_full_with(cfg, controller, trace_capacity, metrics, queue, SimBackend::Seq)
-    }
-
-    /// [`Benchmark::run_full_on`] on an explicit execution backend as
-    /// well. Like the queue backend, [`SimBackend::Par`] changes only
-    /// host-side wall time: reports and artifacts stay byte-identical
-    /// across backends and worker counts (the determinism suite pins
-    /// this too).
-    pub fn run_full_with(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        trace_capacity: Option<usize>,
-        metrics: MetricsLevel,
-        queue: QueueBackend,
-        backend: SimBackend,
-    ) -> RunOutcome {
         self.run_full_opts(
             cfg,
             controller,
             metrics,
             RunOptions {
                 trace_capacity,
-                queue,
-                backend,
                 ..RunOptions::default()
             },
         )
     }
 
-    /// The fully general runner: [`Benchmark::run_full_with`] plus the
+    /// The fully general runner: [`Benchmark::run_full`] plus the
     /// observation and warm-start knobs bundled in [`RunOptions`]. Every
     /// narrower `run_*` method funnels through here, so the CLI, the
     /// daemon, and the sweep drivers all assemble simulations the same
@@ -336,7 +291,7 @@ impl Benchmark {
         Ok(sim.run())
     }
 
-    /// [`Benchmark::run_full_on`] with the host-side self-profiler
+    /// [`Benchmark::run_full_opts`] with the host-side self-profiler
     /// enabled (no trace, metrics off — the profiling configuration the
     /// `perf` harness uses). [`RunOutcome::profile`] carries the phase
     /// report when the `profile` cargo feature is compiled into

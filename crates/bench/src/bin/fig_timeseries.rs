@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use dynapar_bench::svg::LineChart;
 use dynapar_bench::{usage_error, Options};
 use dynapar_core::{AlwaysLaunch, FreeLaunch, SpawnPolicy};
-use dynapar_gpu::{Json, LaunchController, MetricsLevel, RunArtifact};
+use dynapar_gpu::{Json, LaunchController, MetricsLevel, RunArtifact, Simulation};
 use dynapar_workloads::{suite, Benchmark};
 
 const BENCHES: [&str; 2] = ["BFS-graph500", "AMR"];
@@ -75,7 +75,11 @@ fn gauge_means(artifact: &RunArtifact, name: &str) -> Vec<(f64, f64)> {
 
 fn run(bench: &Benchmark, cfg: &dynapar_gpu::GpuConfig, ctrl: Box<dyn LaunchController>) -> RunArtifact {
     bench
-        .run_full(cfg, ctrl, None, MetricsLevel::Timeseries)
+        .run_with(
+            Simulation::builder(cfg.clone())
+                .controller(ctrl)
+                .metrics(MetricsLevel::Timeseries),
+        )
         .artifact
         .expect("timeseries level emits an artifact")
 }

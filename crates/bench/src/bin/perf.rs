@@ -48,10 +48,10 @@ use dynapar_core::{BaselineDp, PolicySpec, SpawnPolicy};
 use dynapar_engine::par::par_map;
 use dynapar_engine::profile::ProfileReport;
 use dynapar_gpu::{
-    canonical_json_hash, parse_snapshot, InlineAll, Json, LaunchController, MetricsLevel,
-    SimReport,
+    canonical_json_hash, snapshot_is_pristine, InlineAll, Json, LaunchController, MetricsLevel,
+    SimReport, Simulation,
 };
-use dynapar_workloads::{suite, warm_ramp_spec, RunOptions, Scale};
+use dynapar_workloads::{suite, warm_ramp_spec, Scale};
 
 fn scale_name(scale: Scale) -> &'static str {
     match scale {
@@ -190,13 +190,13 @@ fn main() {
         let full = move |make: &dyn Fn() -> Box<dyn LaunchController>| -> Vec<Rep> {
             (0..runs)
                 .map(|_| {
-                    if profile {
-                        let out = b.run_full_profiled(cfg, make(), RunOptions::default());
-                        (out.report, out.profile)
-                    } else {
-                        let out = b.run_full_opts(cfg, make(), metrics, RunOptions::default());
-                        (out.report, None)
-                    }
+                    let out = b.run_with(
+                        Simulation::builder(cfg.clone())
+                            .controller(make())
+                            .metrics(metrics)
+                            .profile(profile),
+                    );
+                    (out.report, out.profile)
                 })
                 .collect()
         };
@@ -459,8 +459,13 @@ fn run_sweep_fork(
         PolicySpec::FreeLaunch,
         PolicySpec::Baseline,
     ];
-    let mk = |p: &PolicySpec| p.controller(&cfg, b.default_threshold(), MetricsLevel::Off);
-    let run_opts = RunOptions::default;
+    let mk = |p: &PolicySpec| {
+        Simulation::builder(cfg.clone()).controller(p.controller(
+            &cfg,
+            b.default_threshold(),
+            MetricsLevel::Off,
+        ))
+    };
     let fail = |msg: &str| -> ! {
         eprintln!("perf: sweep-fork: {msg}");
         std::process::exit(1);
@@ -474,30 +479,18 @@ fn run_sweep_fork(
         let mut rep_events = Vec::new();
         let mut rep_cycles = Vec::new();
         for (i, p) in policies.iter().enumerate() {
-            let out = b.run_full_opts(&cfg, mk(p), MetricsLevel::Off, run_opts());
+            let out = b.run_with(mk(p));
             walls[i].push(out.report.wall_ms);
             rep_events.push(out.report.events_processed);
             rep_cycles.push(out.report.total_cycles);
         }
         // Warm sweep: the first policy's run doubles as the shared
         // ramp (arming a snapshot never changes simulated behavior).
-        let armed = b.run_full_opts(
-            &cfg,
-            mk(&policies[0]),
-            MetricsLevel::Off,
-            RunOptions {
-                snapshot_at: Some(SWEEP_FORK_WARMUP),
-                ..run_opts()
-            },
-        );
+        let armed = b.run_with(mk(&policies[0]).snapshot_at(SWEEP_FORK_WARMUP));
         let snap = armed
             .snapshot
             .unwrap_or_else(|| fail("the run finished before the fork cycle"));
-        let pristine = parse_snapshot(&snap)
-            .ok()
-            .and_then(|(h, _)| h.get("pristine").and_then(Json::as_bool))
-            == Some(true);
-        if !pristine {
+        if !snapshot_is_pristine(&snap) {
             fail(&format!(
                 "cycle {SWEEP_FORK_WARMUP} is past the policy-independent ramp — \
                  the fork would bake the ramp policy's decisions into every branch"
@@ -506,9 +499,10 @@ fn run_sweep_fork(
         walls[policies.len()].push(armed.report.wall_ms);
         let mut rep_warm_events = vec![armed.report.events_processed];
         for (i, p) in policies.iter().enumerate().skip(1) {
-            let out = b
-                .run_resumed(&cfg, mk(p), MetricsLevel::Off, run_opts(), &snap)
-                .unwrap_or_else(|e| fail(&format!("resume: {e:?}")));
+            let out = mk(p)
+                .build_resumed(&snap)
+                .unwrap_or_else(|e| fail(&format!("resume: {e:?}")))
+                .run();
             walls[policies.len() + i].push(out.report.wall_ms);
             rep_warm_events.push(out.report.events_processed);
             if out.report.total_cycles != rep_cycles[i] {

@@ -7,8 +7,8 @@
 use dynapar_bench::run_schemes;
 use dynapar_core::{Dtbl, SpawnPolicy};
 use dynapar_engine::par::par_map;
-use dynapar_gpu::{GpuConfig, Json, MetricsLevel, RunArtifact, SimReport};
-use dynapar_workloads::{suite, RunOptions, Scale};
+use dynapar_gpu::{GpuConfig, Json, MetricsLevel, RunArtifact, SimReport, Simulation};
+use dynapar_workloads::{suite, Scale};
 
 /// Renders a report with the nondeterministic wall-clock field zeroed.
 fn canonical(r: &SimReport) -> String {
@@ -41,7 +41,12 @@ fn artifact_jsons_at(jobs: usize, level: MetricsLevel) -> Vec<String> {
         } else {
             Box::new(SpawnPolicy::from_config(&cfg).with_prediction_log())
         };
-        let out = bench.run_full(&cfg, policy, Some(100_000), level);
+        let out = bench.run_with(
+            Simulation::builder(cfg.clone())
+                .controller(policy)
+                .trace(100_000)
+                .metrics(level),
+        );
         format!("{}", out.artifact.expect("full metrics emit an artifact"))
     })
 }
@@ -101,23 +106,20 @@ fn snapshot_captures_exactly_at_the_requested_cycle() {
     // reproduces the uninterrupted artifact byte for byte.
     let cfg = GpuConfig::kepler_k20m();
     let bench = suite::by_name("AMR", Scale::Tiny, suite::DEFAULT_SEED).expect("known");
-    let opts = RunOptions::default;
-    let policy = || Box::new(SpawnPolicy::from_config(&cfg).with_prediction_log());
-    let cold = bench.run_full_opts(&cfg, policy(), MetricsLevel::Full, opts());
+    let builder = || {
+        Simulation::builder(cfg.clone())
+            .controller(Box::new(
+                SpawnPolicy::from_config(&cfg).with_prediction_log(),
+            ))
+            .metrics(MetricsLevel::Full)
+    };
+    let cold = bench.run_with(builder());
     let cold_json = cold.artifact.expect("artifact").to_string();
     let total = cold.report.total_cycles;
     assert!(total > 8, "run long enough for an interior capture cycle");
     // An odd interior cycle.
     let at = total / 2 + 1;
-    let armed = bench.run_full_opts(
-        &cfg,
-        policy(),
-        MetricsLevel::Full,
-        RunOptions {
-            snapshot_at: Some(at),
-            ..opts()
-        },
-    );
+    let armed = bench.run_with(builder().snapshot_at(at));
     assert_eq!(
         armed.artifact.expect("artifact").to_string(),
         cold_json,
@@ -128,9 +130,7 @@ fn snapshot_captures_exactly_at_the_requested_cycle() {
     assert_eq!(job.get("cycle").and_then(Json::as_u64), Some(at));
     let now = job.get("now").and_then(Json::as_u64).expect("now recorded");
     assert!(now <= at, "capture ran past the requested cycle");
-    let resumed = bench
-        .run_resumed(&cfg, policy(), MetricsLevel::Full, opts(), &snap)
-        .expect("resume");
+    let resumed = builder().build_resumed(&snap).expect("resume").run();
     assert_eq!(
         resumed.artifact.expect("artifact").to_string(),
         cold_json,

@@ -26,7 +26,7 @@ use dynapar_core::PolicySpec;
 use dynapar_engine::par::par_map;
 use dynapar_gpu::{GpuConfig, MetricsLevel, SimReport, SimWindow};
 use dynapar_server::{
-    Client, GpuPreset, JobRequest, Observation, Server, ServerConfig, SweepRequest, WorkloadRef,
+    Client, GpuPreset, JobRequest, Server, ServerConfig, SweepRequest, WorkloadRef,
     PROTOCOL_VERSION,
 };
 use dynapar_workloads::{suite, Benchmark};
@@ -156,16 +156,23 @@ fn exec(cli: Cli) -> Result<(), String> {
                 b.threads(),
                 b.total_items()
             );
-            let out = if let Some(path) = resume {
-                let snap =
-                    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-                println!("# resuming from snapshot {path} ({} bytes)", snap.len());
-                job.run_forked(&snap, Observation::default())?
-            } else if let Some(cycle) = snapshot_at {
-                job.run_armed(*cycle, Observation::default())?
-            } else {
-                job.run(*trace)?
+            let snap = match resume {
+                Some(path) => {
+                    let snap = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+                    println!("# resuming from snapshot {path} ({} bytes)", snap.len());
+                    Some(snap)
+                }
+                None => None,
             };
+            let out = job.run(snap.as_deref(), |mut b| {
+                if let Some(cycle) = snapshot_at {
+                    b = b.snapshot_at(*cycle);
+                }
+                if let Some(cap) = trace {
+                    b = b.trace(*cap);
+                }
+                b
+            })?;
             if let Some(path) = snapshot_out {
                 let snap = out.snapshot.as_ref().ok_or_else(|| {
                     format!(
@@ -317,16 +324,10 @@ fn exec(cli: Cli) -> Result<(), String> {
             // is policy-independent; otherwise fall back to cold runs.
             let warm_snapshot = match fork_warmup {
                 Some(cycle) if jobs.len() > 1 => {
-                    let first = jobs[0].1.clone();
-                    let out = first.run_armed(*cycle, Observation::default())?;
-                    let snap = out.snapshot.filter(|s| {
-                        dynapar_gpu::parse_snapshot(s)
-                            .ok()
-                            .and_then(|(job, _)| {
-                                job.get("pristine").and_then(dynapar_gpu::Json::as_bool)
-                            })
-                            == Some(true)
-                    });
+                    let out = jobs[0].1.run(None, |b| b.snapshot_at(*cycle))?;
+                    let snap = out
+                        .snapshot
+                        .filter(|s| dynapar_gpu::snapshot_is_pristine(s));
                     match &snap {
                         Some(s) => println!(
                             "# warm-start: ramped to cycle {cycle} once ({} bytes), forking {} branches",
@@ -341,22 +342,21 @@ fn exec(cli: Cli) -> Result<(), String> {
                 }
                 _ => None,
             };
+            // A branch whose resume fails runs cold instead.
+            let run_point = |(t, job): (u32, JobRequest), snap: Option<&[u8]>| {
+                let forked = snap.and_then(|s| job.run(Some(s), |b| b).ok());
+                let out = forked
+                    .unwrap_or_else(|| job.run(None, |b| b).expect("benchmark validated above"));
+                (t, out.report)
+            };
             let runs = if let Some((snap, first_report)) = warm_snapshot {
-                let rest: Vec<(u32, JobRequest)> = jobs[1..].to_vec();
                 let mut runs = vec![(jobs[0].0, first_report)];
-                runs.extend(par_map(rest, cli.jobs, |(t, job)| {
-                    let out = job
-                        .run_forked(&snap, Observation::default())
-                        .or_else(|_| job.run(None))
-                        .expect("benchmark validated above");
-                    (t, out.report)
+                runs.extend(par_map(jobs[1..].to_vec(), cli.jobs, |point| {
+                    run_point(point, Some(&snap))
                 }));
                 runs
             } else {
-                par_map(jobs, cli.jobs, |(t, job)| {
-                    let out = job.run(None).expect("benchmark validated above");
-                    (t, out.report)
-                })
+                par_map(jobs, cli.jobs, |point| run_point(point, None))
             };
             println!("{:>10} {:>9} {:>8} {:>9}", "THRESHOLD", "offload%", "speedup", "kernels");
             for (t, r) in &runs {

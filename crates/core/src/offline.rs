@@ -6,7 +6,7 @@
 //! [`FixedThreshold`] policy and reports every point plus the winner —
 //! which is also exactly the data behind Fig. 5.
 
-use dynapar_gpu::{Json, SimReport, Simulation, SimulationBuilder};
+use dynapar_gpu::SimReport;
 
 use crate::policies::FixedThreshold;
 
@@ -147,92 +147,6 @@ where
     SweepResult::from_points(points)
 }
 
-/// [`sweep_par`] with a *warm-started* fork: the first threshold's run
-/// doubles as the shared ramp — it arms a snapshot at cycle `warmup` and
-/// runs to completion — and every other threshold resumes from that
-/// snapshot instead of re-simulating cycles `0..warmup`.
-///
-/// The fork is taken only when the snapshot is *pristine* (no launch
-/// decisions happened by `warmup`, so the ramp is identical under every
-/// threshold — see `DESIGN.md` §13); otherwise, or when the run finishes
-/// before `warmup`, the remaining points silently fall back to cold
-/// runs. Either way every point's report is bit-identical to
-/// [`sweep_par`]'s — warm-starting is a wall-clock optimization, never a
-/// result change (pinned by this module's tests and the server's
-/// byte-identity matrix).
-///
-/// Unlike [`sweep_par`], construction is split in two so the driver can
-/// interpose the snapshot machinery between them: `configure` yields the
-/// point's [`SimulationBuilder`] (config, metrics, backend — everything
-/// but the controller), and `workload` registers host kernels on a
-/// freshly built simulation. Resumed forks restore the workload from the
-/// snapshot, so `workload` runs only for cold builds.
-///
-/// # Panics
-///
-/// Panics if `thresholds` is empty, or propagates a panic from the
-/// closures.
-pub fn sweep_par_warm<C, W>(
-    thresholds: &[u32],
-    jobs: usize,
-    warmup: u64,
-    configure: C,
-    workload: W,
-) -> SweepResult
-where
-    C: Fn() -> SimulationBuilder + Sync,
-    W: Fn(&mut Simulation) + Sync,
-{
-    assert!(!thresholds.is_empty(), "sweep needs at least one threshold");
-    let cold = |t: u32| -> SweepPoint {
-        let mut sim = configure()
-            .controller(Box::new(FixedThreshold::new(t)))
-            .build();
-        workload(&mut sim);
-        SweepPoint {
-            threshold: t,
-            report: sim.run().report,
-        }
-    };
-    // The ramp run is also the first sweep point.
-    let mut sim = configure()
-        .controller(Box::new(FixedThreshold::new(thresholds[0])))
-        .snapshot_at(warmup)
-        .build();
-    workload(&mut sim);
-    let outcome = sim.run();
-    let first = SweepPoint {
-        threshold: thresholds[0],
-        report: outcome.report,
-    };
-    // Fork only from a pristine ramp; a non-pristine one is only valid
-    // for the threshold that produced it.
-    let snapshot = outcome.snapshot.filter(|s| {
-        dynapar_gpu::parse_snapshot(s)
-            .ok()
-            .and_then(|(job, _)| job.get("pristine").and_then(Json::as_bool))
-            == Some(true)
-    });
-    let rest = dynapar_engine::par::par_map(thresholds[1..].to_vec(), jobs, |t| {
-        let forked = snapshot.as_deref().and_then(|snap| {
-            configure()
-                .controller(Box::new(FixedThreshold::new(t)))
-                .build_resumed(snap)
-                .ok()
-        });
-        match forked {
-            Some(sim) => SweepPoint {
-                threshold: t,
-                report: sim.run().report,
-            },
-            None => cold(t),
-        }
-    });
-    let mut points = vec![first];
-    points.extend(rest);
-    SweepResult::from_points(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,115 +257,5 @@ mod tests {
     #[should_panic(expected = "at least one point")]
     fn empty_points_rejected() {
         SweepResult::from_points(vec![]);
-    }
-
-    mod warm {
-        use super::super::*;
-        use dynapar_gpu::{
-            DpSpec, GpuConfig, KernelDesc, MetricsLevel, ThreadSource, ThreadWork, WorkClass,
-        };
-        use std::sync::Arc;
-
-        /// Two-phase workload shaped like the paper's benchmarks: a flat
-        /// preprocessing kernel (no DP), then a DP phase. The NULL-stream
-        /// serialization makes every cycle of phase one a pristine ramp.
-        fn workload(sim: &mut Simulation) {
-            sim.launch_host(KernelDesc {
-                name: "ramp".into(),
-                cta_threads: 64,
-                regs_per_thread: 16,
-                shmem_per_cta: 0,
-                class: Arc::new(WorkClass::compute_only("ramp", 16)),
-                source: ThreadSource::Derived {
-                    origin: ThreadWork::with_items(64 * 64),
-                    items_per_thread: 64,
-                },
-                dp: None,
-            });
-            let threads: Vec<ThreadWork> = (0..64)
-                .map(|t| ThreadWork {
-                    items: if t % 8 == 0 { 60 } else { 2 },
-                    seq_base: 0,
-                    rand_seed: t as u64,
-                })
-                .collect();
-            sim.launch_host(KernelDesc {
-                name: "dp".into(),
-                cta_threads: 64,
-                regs_per_thread: 16,
-                shmem_per_cta: 0,
-                class: Arc::new(WorkClass::compute_only("p", 8)),
-                source: ThreadSource::Explicit(threads.into()),
-                dp: Some(Arc::new(DpSpec {
-                    child_class: Arc::new(WorkClass::compute_only("c", 8)),
-                    child_cta_threads: 32,
-                    child_items_per_thread: 1,
-                    child_regs_per_thread: 8,
-                    child_shmem_per_cta: 0,
-                    min_items: 8,
-                    default_threshold: 8,
-                    nested: None,
-                })),
-            });
-        }
-
-        fn configure() -> SimulationBuilder {
-            Simulation::builder(GpuConfig::test_small()).metrics(MetricsLevel::Summary)
-        }
-
-        const WARMUP: u64 = 500;
-
-        #[test]
-        fn warm_fork_matches_cold_sweep() {
-            // The chosen warm-up cycle really is inside the pristine ramp
-            // (otherwise this test would silently cover only the cold
-            // fallback path).
-            let mut sim = configure()
-                .controller(Box::new(FixedThreshold::new(4)))
-                .snapshot_at(WARMUP)
-                .build();
-            workload(&mut sim);
-            let snap = sim.run().snapshot.expect("ramp longer than WARMUP");
-            let (job, _) = dynapar_gpu::parse_snapshot(&snap).unwrap();
-            assert_eq!(job.get("pristine").and_then(Json::as_bool), Some(true));
-
-            let grid = [4u32, 16, 64];
-            let cold = sweep_par(&grid, 2, |policy| {
-                let mut sim = configure().controller(policy).build();
-                workload(&mut sim);
-                sim.run().report
-            });
-            let warm = sweep_par_warm(&grid, 2, WARMUP, configure, workload);
-            for (c, w) in cold.points().iter().zip(warm.points()) {
-                assert_eq!(c.threshold, w.threshold);
-                assert_eq!(c.report.total_cycles, w.report.total_cycles);
-                assert_eq!(c.report.items_inline, w.report.items_inline);
-                assert_eq!(c.report.items_child, w.report.items_child);
-                assert_eq!(c.report.launch_requests, w.report.launch_requests);
-                assert_eq!(c.report.child_kernels_launched, w.report.child_kernels_launched);
-                assert_eq!(c.report.events_global, w.report.events_global);
-                assert_eq!(c.report.peak_queue_depth, w.report.peak_queue_depth);
-                assert_eq!(c.report.occupancy.to_bits(), w.report.occupancy.to_bits());
-            }
-            assert_eq!(cold.best().threshold, warm.best().threshold);
-        }
-
-        #[test]
-        fn warm_sweep_falls_back_when_the_run_ends_early() {
-            let grid = [4u32, 64];
-            let cold = sweep_par(&grid, 2, |policy| {
-                let mut sim = configure().controller(policy).build();
-                workload(&mut sim);
-                sim.run().report
-            });
-            // A warm-up beyond the run's end yields no snapshot; every
-            // point must come from the cold path, unchanged.
-            let warm = sweep_par_warm(&grid, 2, u64::MAX - 1, configure, workload);
-            for (c, w) in cold.points().iter().zip(warm.points()) {
-                assert_eq!(c.threshold, w.threshold);
-                assert_eq!(c.report.total_cycles, w.report.total_cycles);
-                assert_eq!(c.report.items_child, w.report.items_child);
-            }
-        }
     }
 }

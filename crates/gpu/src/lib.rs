@@ -110,7 +110,9 @@ pub use dynapar_engine::metrics::{MetricsLevel, MetricsRegistry};
 pub use ids::{CtaKey, HwqId, KernelId, SmxId, StreamId};
 pub use dynapar_engine::snap::SnapError;
 pub use sim::{SimWindow, Simulation, SimulationBuilder, WatchHook, WatchSample};
-pub use snap::{diff_snapshots, parse_snapshot, write_snapshot, SNAPSHOT_SCHEMA};
+pub use snap::{
+    diff_snapshots, parse_snapshot, snapshot_is_pristine, write_snapshot, SNAPSHOT_SCHEMA,
+};
 pub use stats::{KernelRole, KernelSummary, SimReport, TimelineSample};
 pub use telemetry::TIMESERIES_SCHEMA;
 pub use trace::{Trace, TraceEvent};

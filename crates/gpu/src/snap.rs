@@ -96,6 +96,16 @@ pub fn parse_snapshot(bytes: &[u8]) -> Result<(Json, &[u8]), SnapError> {
     Ok((job, state))
 }
 
+/// Whether `bytes` is a well-formed snapshot taken before the run's
+/// first launch decision. Such a *pristine* ramp is identical under
+/// every launch policy, so it is the one snapshot a warm-start sweep may
+/// fork into branches that run other policies (DESIGN.md §13). Every
+/// forking sweep (daemon, CLI, `perf --sweep-fork`) decides with it.
+pub fn snapshot_is_pristine(bytes: &[u8]) -> bool {
+    parse_snapshot(bytes)
+        .is_ok_and(|(job, _)| job.get("pristine").and_then(Json::as_bool) == Some(true))
+}
+
 /// Human-readable comparison of two snapshot images (the CLI's
 /// `snap-diff`): lists every header field whose value differs, then
 /// locates the first divergent byte of the binary state and attributes

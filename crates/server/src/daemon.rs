@@ -25,7 +25,7 @@ use std::time::Duration;
 use dynapar_engine::json::Json;
 use dynapar_engine::log::{Level, Logger};
 use dynapar_engine::par::WorkQueue;
-use dynapar_gpu::{MetricsLevel, WatchSample};
+use dynapar_gpu::{MetricsLevel, SimulationBuilder, WatchHook, WatchSample};
 
 use crate::metrics::{health_response, metrics_response, Gauges, Phase, ServerMetrics};
 use crate::proto::{
@@ -33,7 +33,7 @@ use crate::proto::{
     submit_response, sweep_response, terminal_error, watch_event, Request, MAX_LINE_BYTES,
 };
 use crate::registry::{Admission, JobHandles, JobState, Registry};
-use crate::request::{JobRequest, Observation, CANCEL_SENTINEL};
+use crate::request::JobRequest;
 use crate::trace::DaemonTrace;
 
 /// How the daemon is brought up.
@@ -252,23 +252,28 @@ fn watch_sample_json(s: &WatchSample) -> Json {
     ])
 }
 
-/// The observation hooks for one run attempt: progress, cancel, and a
-/// watch hook feeding the job's sample ring.
-fn observation(handles: &JobHandles) -> Observation {
-    let ring = handles.samples.clone();
-    Observation {
-        progress: Some(handles.progress.clone()),
-        cancel: Some(handles.cancel.clone()),
-        watch: Some(Arc::new(move |s: WatchSample| {
-            ring.push(watch_sample_json(&s));
-        })),
-    }
-}
+/// The message a cancelled run panics with; [`run_entry`] recognizes it
+/// and marks the job cancelled instead of failed.
+const CANCEL_SENTINEL: &str = "dynapar-server: job cancelled";
 
-/// How one group entry executed, for `run_job`'s bookkeeping.
-enum Ran {
-    Completed,
-    Other,
+/// The watch hook of one run attempt — the daemon's only live channel
+/// into a running simulation. At every sampling tick (every
+/// `sample_period` simulated cycles, whatever the workload does) it
+/// publishes the simulated cycle as the job's progress, feeds the
+/// sample to the job's `watch` ring, and unwinds out of the run if the
+/// job was cancelled; [`run_entry`] catches the unwind. Pure
+/// observation: artifact bytes are identical with or without it.
+fn watch_hook(handles: &JobHandles) -> WatchHook {
+    let progress = handles.progress.clone();
+    let cancel = handles.cancel.clone();
+    let ring = handles.samples.clone();
+    Arc::new(move |s: WatchSample| {
+        progress.store(s.now, Ordering::Relaxed);
+        ring.push(watch_sample_json(&s));
+        if cancel.load(Ordering::Relaxed) {
+            panic!("{CANCEL_SENTINEL}");
+        }
+    })
 }
 
 /// Everything a worker needs besides the task itself: the registry it
@@ -282,20 +287,17 @@ struct Exec {
 }
 
 /// Runs one entry to a terminal registry state. `runner` is the actual
-/// simulation call (cold, armed, or forked+fallback); cancellation
-/// unwinds out of it and is caught here, so one cancelled branch never
-/// takes its group's other entries down.
+/// simulation call (cold, armed, or forked with its cold fallback);
+/// cancellation unwinds out of it and is caught here, so one cancelled
+/// branch never takes its group's other entries down.
 fn run_entry(
     registry: &Registry,
     id: u64,
     runner: impl FnOnce() -> Result<dynapar_gpu::RunOutcome, String>,
-) -> Ran {
+) {
     match catch_unwind(AssertUnwindSafe(runner)) {
         Ok(Ok(out)) => match out.artifact {
-            Some(artifact) => {
-                registry.complete(id, artifact);
-                return Ran::Completed;
-            }
+            Some(artifact) => registry.complete(id, artifact),
             None => registry.fail(id, "run produced no artifact (metrics level off)".to_string()),
         },
         Ok(Err(e)) => registry.fail(id, e),
@@ -308,7 +310,6 @@ fn run_entry(
             }
         }
     }
-    Ran::Other
 }
 
 fn run_job(exec: &Exec, task: JobTask) {
@@ -342,20 +343,20 @@ fn run_job(exec: &Exec, task: JobTask) {
             exec.metrics.record(&class, Phase::QueueWait, wait);
         }
         let t0 = std::time::Instant::now();
+        let hook = watch_hook(&handles);
+        let watched = |b: SimulationBuilder| b.watch(hook.clone());
         let mut forked_branch = false;
-        if let Some(snap) = snapshot.clone() {
+        if let Some(snap) = snapshot.as_deref() {
             // Forked branch: resume from the shared ramp; any
             // decode/compatibility error falls back to a cold run, so
             // forking can only cost time, never correctness.
-            let forked = run_entry(registry, id, || {
-                req.run_forked(&snap, observation(&handles))
+            run_entry(registry, id, || {
+                let resumed = req.run(Some(snap), watched);
+                forked_branch = resumed.is_ok();
+                resumed.or_else(|_| req.run(None, watched))
             });
-            match forked {
-                Ran::Completed => {
-                    registry.note_forked();
-                    forked_branch = true;
-                }
-                Ran::Other => {}
+            if forked_branch {
+                registry.note_forked();
             }
         } else if want_fork && !ramp_done {
             // First startable entry simulates the shared warm-up ramp,
@@ -364,21 +365,15 @@ fn run_job(exec: &Exec, task: JobTask) {
             let warmup = fork_warmup.expect("want_fork implies Some");
             let mut captured = None;
             run_entry(registry, id, || {
-                let out = req.run_armed(warmup, observation(&handles))?;
+                let out = req.run(None, |b| watched(b).snapshot_at(warmup))?;
                 captured = out.snapshot.clone();
                 Ok(out)
             });
-            // Fork only from a pristine ramp (no launch decisions yet):
-            // only then is the snapshot policy-independent. Otherwise
-            // the remaining points simply run cold.
-            snapshot = captured.filter(|s| {
-                dynapar_gpu::parse_snapshot(s)
-                    .ok()
-                    .and_then(|(job, _)| job.get("pristine").and_then(Json::as_bool))
-                    == Some(true)
-            });
+            // Fork only from a pristine ramp; otherwise the remaining
+            // points simply run cold.
+            snapshot = captured.filter(|s| dynapar_gpu::snapshot_is_pristine(s));
         } else {
-            run_entry(registry, id, || req.run_cold(observation(&handles)));
+            run_entry(registry, id, || req.run(None, watched));
         }
         finish_entry(exec, id, &class, t0, forked_branch);
     }

@@ -85,5 +85,5 @@ pub use proto::{Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use registry::{
     Admission, JobHandles, JobSnapshot, JobState, Registry, RegistryStats, SampleRing,
 };
-pub use request::{GpuPreset, JobRequest, Observation, SweepRequest, WorkloadRef};
+pub use request::{GpuPreset, JobRequest, SweepRequest, WorkloadRef};
 pub use trace::DaemonTrace;

@@ -135,7 +135,7 @@ impl SampleRing {
 /// Observation handles a worker gets when it starts a job: progress
 /// counter, cancellation flag, and the watch-sample ring.
 pub struct JobHandles {
-    /// Latest simulated cycle, stored by the in-run progress tap.
+    /// Latest simulated cycle, stored by the run's watch hook.
     pub progress: Arc<AtomicU64>,
     /// Raised by `cancel` requests; the run unwinds at its next check.
     pub cancel: Arc<AtomicBool>,
@@ -300,9 +300,9 @@ impl Registry {
 
     /// [`with_store`](Registry::with_store) plus an optional byte cap
     /// on the persisted store (`dynapar serve --store-max-bytes N`).
-    /// Whenever the persisted total exceeds the cap — at preload and
-    /// after each new artifact — least-recently-used entries are
-    /// deleted from disk until the store fits.
+    /// Preload keeps the newest files that fit the cap and deletes the
+    /// rest unread; after each new artifact, least-recently-used
+    /// entries are deleted from disk until the store fits.
     pub fn with_store_capped(
         dir: impl Into<PathBuf>,
         max_bytes: Option<u64>,
@@ -330,10 +330,13 @@ impl Registry {
         Ok(registry)
     }
 
-    /// Scans the store directory and fills the memo cache from every
-    /// well-formed `<hash:016x>.json` artifact. Unparseable or
-    /// misnamed files are skipped with a warning — a corrupt entry must
-    /// not take the daemon down. Returns the number loaded.
+    /// Scans the store directory and fills the memo cache from the
+    /// well-formed `<hash:016x>.json` artifacts that fit the byte cap.
+    /// Files are admitted newest first while they fit; the rest are
+    /// deleted unread, so an evicted config re-executes instead of being
+    /// answered from a memo entry whose file is gone. Unparseable files
+    /// are skipped with a warning — a corrupt entry must not take the
+    /// daemon down. Returns the number loaded.
     fn preload(&self) -> std::io::Result<usize> {
         let Some(dir) = &self.store else { return Ok(0) };
         let mut found: Vec<(u64, PathBuf, u64, std::time::SystemTime)> = Vec::new();
@@ -355,11 +358,24 @@ impl Registry {
                 .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
             found.push((hash, path, meta.len(), mtime));
         }
-        // Oldest files first, so the restarted daemon's LRU order
-        // matches the previous run's write order.
-        found.sort_by_key(|&(_, _, _, mtime)| mtime);
+        // Newest files first: they are the ones the budget keeps.
+        found.sort_by_key(|&(_, _, _, mtime)| std::cmp::Reverse(mtime));
+        let budget = self.store_max_bytes.unwrap_or(u64::MAX);
+        let mut kept_bytes = 0u64;
+        let kept = found
+            .iter()
+            .take_while(|&&(_, _, size, _)| {
+                kept_bytes += size;
+                kept_bytes <= budget
+            })
+            .count();
+        for (hash, path, size, _) in found.drain(kept..) {
+            self.remove_store_file(hash, &path, size);
+        }
+        // Oldest files are recorded first, so the restarted daemon's LRU
+        // order matches the previous run's write order.
         let mut loaded = 0;
-        for (hash, path, size, _) in found {
+        for (hash, path, size, _) in found.into_iter().rev() {
             let artifact = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| RunArtifact::parse(&text).map_err(|e| e.to_string()));
@@ -385,7 +401,6 @@ impl Registry {
                 }
             }
         }
-        self.evict_over_budget();
         let bytes = self.store_bytes();
         self.log.info(
             "store_preload",
@@ -450,31 +465,35 @@ impl Registry {
                 g.store_lru.remove(hash);
                 (hash, size)
             };
-            let path = dir.join(format!("{hash:016x}.json"));
-            if let Err(err) = std::fs::remove_file(&path) {
-                eprintln!(
-                    "dynapar-server: failed to evict store entry {}: {err}",
-                    path.display()
-                );
-                self.log.warn(
-                    "store_evict_failed",
-                    [
-                        ("hash", Json::str(format!("{hash:016x}"))),
-                        ("error", Json::str(err.to_string())),
-                    ],
-                );
-            } else {
-                eprintln!(
-                    "dynapar-server: evicted store entry {hash:016x} ({size} bytes, over --store-max-bytes)"
-                );
-                self.log.info(
-                    "store_evict",
-                    [
-                        ("hash", Json::str(format!("{hash:016x}"))),
-                        ("bytes", Json::U64(size)),
-                    ],
-                );
-            }
+            self.remove_store_file(hash, &dir.join(format!("{hash:016x}.json")), size);
+        }
+    }
+
+    /// Deletes one evicted store file, logging the outcome.
+    fn remove_store_file(&self, hash: u64, path: &std::path::Path, size: u64) {
+        if let Err(err) = std::fs::remove_file(path) {
+            eprintln!(
+                "dynapar-server: failed to evict store entry {}: {err}",
+                path.display()
+            );
+            self.log.warn(
+                "store_evict_failed",
+                [
+                    ("hash", Json::str(format!("{hash:016x}"))),
+                    ("error", Json::str(err.to_string())),
+                ],
+            );
+        } else {
+            eprintln!(
+                "dynapar-server: evicted store entry {hash:016x} ({size} bytes, over --store-max-bytes)"
+            );
+            self.log.info(
+                "store_evict",
+                [
+                    ("hash", Json::str(format!("{hash:016x}"))),
+                    ("bytes", Json::U64(size)),
+                ],
+            );
         }
     }
 
@@ -940,16 +959,20 @@ mod tests {
         assert!(matches!(r2.submit(1), Admission::Cached { .. }));
         drop(r2);
 
-        // Restarting under a tighter cap trims the preloaded store too.
+        // Restarting under a tighter cap trims the preloaded store too,
+        // and the entries it deletes are not answered from memory.
         let r3 = Registry::with_store_capped(&dir, Some(entry_size)).expect("store dir");
+        let (kept, evicted): (Vec<u64>, Vec<u64>) =
+            [1u64, 3, 4].into_iter().partition(|&h| exists(h));
+        assert_eq!(kept.len(), 1, "preload enforces the cap");
+        for hash in evicted {
+            assert!(
+                matches!(r3.submit(hash), Admission::Execute { .. }),
+                "entry {hash} evicted at preload must re-execute"
+            );
+        }
+        assert!(matches!(r3.submit(kept[0]), Admission::Cached { .. }));
         drop(r3);
-        let remaining = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref().unwrap().path().extension().and_then(|x| x.to_str()) == Some("json")
-            })
-            .count();
-        assert_eq!(remaining, 1, "preload enforces the cap");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

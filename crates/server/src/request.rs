@@ -9,17 +9,14 @@
 //! what makes config-hash memoization sound, and it is pinned by the
 //! protocol test-suite and the CI smoke.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
 use dynapar_core::PolicySpec;
 use dynapar_engine::fnv1a_64;
 use dynapar_engine::json::Json;
 use dynapar_gpu::{
-    CanonicalConfig, ChildRequest, ControllerEvent, GpuConfig, LaunchController, LaunchDecision,
-    MetricsLevel, MonitoredMetrics, RunArtifact, RunOutcome, SimWindow, WatchHook,
+    CanonicalConfig, GpuConfig, MetricsLevel, RunArtifact, RunOutcome, SimWindow, Simulation,
+    SimulationBuilder,
 };
-use dynapar_workloads::{suite, Benchmark, BenchmarkSpec, RunOptions, Scale};
+use dynapar_workloads::{suite, Benchmark, BenchmarkSpec, Scale};
 
 /// A named GPU configuration preset.
 ///
@@ -115,30 +112,6 @@ impl WorkloadRef {
     }
 }
 
-/// Daemon-side observation hooks for one run. All three are pure
-/// observation: artifact bytes are identical with or without them
-/// (pinned by `progress_tap_is_byte_invisible` and the gpu crate's
-/// watch-hook test).
-#[derive(Default)]
-pub struct Observation {
-    /// Receives the latest simulated cycle.
-    pub progress: Option<Arc<AtomicU64>>,
-    /// Aborts the run at the next launch decision (by unwinding; the
-    /// daemon's worker catches it).
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Receives one [`dynapar_gpu::WatchSample`] per sampler firing —
-    /// the daemon feeds these to `watch` streams.
-    pub watch: Option<WatchHook>,
-}
-
-/// How a run starts: from cycle zero, armed to snapshot at a cycle, or
-/// resumed from a previously captured snapshot.
-enum WarmStart<'a> {
-    Cold,
-    Armed { cycle: u64 },
-    Resume { snapshot: &'a [u8] },
-}
-
 /// One simulation job: the request both the CLI and the daemon execute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
@@ -184,70 +157,49 @@ impl JobRequest {
     }
 
     /// Runs the job and returns the full outcome (report, optional
-    /// trace, optional artifact). `trace_capacity` requests the bounded
-    /// decision trace — pure observation, excluded from the canonical
-    /// identity because it never changes artifact bytes.
+    /// trace, snapshot and artifact).
+    ///
+    /// The job fixes what the run *is* — workload, policy, metrics
+    /// level, GPU — on a [`SimulationBuilder`]; `configure` then adds
+    /// what the caller wants to *watch*: `.trace(..)`, `.snapshot_at(..)`,
+    /// `.watch(..)`. None of those enter the canonical identity, because
+    /// none changes an artifact byte. The builder always carries the
+    /// job's warm-up identity as snapshot metadata, which only a
+    /// snapshot capture reads.
+    ///
+    /// With `resume`, the run continues from those snapshot bytes
+    /// (captured by an armed run sharing this job's warm-up identity)
+    /// instead of starting at cycle zero; the resumed artifact is
+    /// byte-identical to the cold run's.
     ///
     /// # Errors
     ///
-    /// Workload construction errors (unknown benchmark, bad spec).
-    pub fn run(&self, trace_capacity: Option<usize>) -> Result<RunOutcome, String> {
-        self.run_observed(trace_capacity, None, None)
-    }
-
-    /// [`run`](JobRequest::run) with daemon-side observation hooks:
-    /// `progress` receives the latest simulated cycle, `cancel` aborts
-    /// the run at the next launch decision (by unwinding; the daemon's
-    /// worker catches it). Both are pure observation — artifact bytes
-    /// are identical with or without them.
-    pub fn run_observed(
+    /// Workload construction errors (unknown benchmark, bad spec), and
+    /// snapshot decode/compatibility errors on resume (callers fall back
+    /// to a cold run).
+    pub fn run(
         &self,
-        trace_capacity: Option<usize>,
-        progress: Option<Arc<AtomicU64>>,
-        cancel: Option<Arc<AtomicBool>>,
+        resume: Option<&[u8]>,
+        configure: impl FnOnce(SimulationBuilder) -> SimulationBuilder,
     ) -> Result<RunOutcome, String> {
-        let obs = Observation {
-            progress,
-            cancel,
-            watch: None,
-        };
-        self.run_with(trace_capacity, obs, WarmStart::Cold)
-    }
-
-    /// [`run`](JobRequest::run) with the full observation bundle
-    /// (progress, cancel, watch) — the daemon's cold execution path.
-    ///
-    /// # Errors
-    ///
-    /// Workload construction errors.
-    pub fn run_cold(&self, obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Cold)
-    }
-
-    /// Runs the job armed to capture a snapshot once simulated time
-    /// passes `cycle`. The run still executes to completion, so the
-    /// outcome carries both the full artifact *and* the snapshot bytes
-    /// (in `RunOutcome::snapshot`; `None` when the run finished before
-    /// `cycle`).
-    ///
-    /// # Errors
-    ///
-    /// Workload construction errors.
-    pub fn run_armed(&self, cycle: u64, obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Armed { cycle })
-    }
-
-    /// Runs the job warm-started from `snapshot` (captured by
-    /// [`run_armed`](JobRequest::run_armed) on a job sharing this job's
-    /// warm-up identity). The resumed artifact is byte-identical to the
-    /// cold run's — the fork-sweep invariant the snapshot layer pins.
-    ///
-    /// # Errors
-    ///
-    /// Workload errors, plus snapshot decode/compatibility errors
-    /// (callers fall back to a cold run).
-    pub fn run_forked(&self, snapshot: &[u8], obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Resume { snapshot })
+        let bench = self.workload.build(self.seed)?;
+        let cfg = self.gpu.config();
+        let controller = self
+            .policy
+            .controller(&cfg, bench.default_threshold(), self.metrics);
+        let builder = configure(
+            Simulation::builder(cfg)
+                .controller(controller)
+                .metrics(self.metrics)
+                .snapshot_meta(self.warmup_meta()),
+        );
+        match resume {
+            None => Ok(bench.run_with(builder)),
+            Some(snapshot) => Ok(builder
+                .build_resumed(snapshot)
+                .map_err(|e| format!("snapshot resume: {e}"))?
+                .run()),
+        }
     }
 
     /// The warm-up identity attached to armed snapshots as metadata:
@@ -263,50 +215,6 @@ impl JobRequest {
         ])
     }
 
-    fn run_with(
-        &self,
-        trace_capacity: Option<usize>,
-        obs: Observation,
-        warm: WarmStart<'_>,
-    ) -> Result<RunOutcome, String> {
-        let bench = self.workload.build(self.seed)?;
-        let cfg = self.gpu.config();
-        let inner = self
-            .policy
-            .controller(&cfg, bench.default_threshold(), self.metrics);
-        let Observation {
-            progress,
-            cancel,
-            watch,
-        } = obs;
-        let ctrl: Box<dyn LaunchController> = if progress.is_some() || cancel.is_some() {
-            Box::new(ProgressTap {
-                inner,
-                progress,
-                cancel,
-            })
-        } else {
-            inner
-        };
-        let mut opts = RunOptions {
-            trace_capacity,
-            snapshot_at: None,
-            snapshot_meta: None,
-            watch,
-        };
-        match warm {
-            WarmStart::Cold => Ok(bench.run_full_opts(&cfg, ctrl, self.metrics, opts)),
-            WarmStart::Armed { cycle } => {
-                opts.snapshot_at = Some(cycle);
-                opts.snapshot_meta = Some(self.warmup_meta());
-                Ok(bench.run_full_opts(&cfg, ctrl, self.metrics, opts))
-            }
-            WarmStart::Resume { snapshot } => bench
-                .run_resumed(&cfg, ctrl, self.metrics, opts, snapshot)
-                .map_err(|e| format!("snapshot resume: {e}")),
-        }
-    }
-
     /// Runs the job and returns its artifact — the daemon's execution
     /// path (and the byte-identity reference for the CLI's).
     ///
@@ -314,9 +222,9 @@ impl JobRequest {
     ///
     /// Workload errors, plus `metrics: off` (no artifact to return).
     pub fn artifact(&self) -> Result<RunArtifact, String> {
-        self.run(None)?
-            .artifact
-            .ok_or_else(|| "metrics level `off` produces no artifact; use summary|full|timeseries".to_string())
+        self.run(None, |b| b)?.artifact.ok_or_else(|| {
+            "metrics level `off` produces no artifact; use summary|full|timeseries".to_string()
+        })
     }
 
     /// Renders the request in its wire form (the `job` object of a
@@ -479,75 +387,12 @@ impl SweepRequest {
     }
 }
 
-/// A delegating [`LaunchController`] wrapper that publishes the latest
-/// simulated cycle and honours a cancel flag. Every trait method
-/// forwards to the inner policy, so wrapping never changes simulated
-/// behavior or artifact bytes — the tap only *reads*.
-struct ProgressTap {
-    inner: Box<dyn LaunchController>,
-    progress: Option<Arc<AtomicU64>>,
-    cancel: Option<Arc<AtomicBool>>,
-}
-
-impl ProgressTap {
-    fn tick(&self, now: u64) {
-        if let Some(p) = &self.progress {
-            p.store(now, Ordering::Relaxed);
-        }
-        if let Some(c) = &self.cancel {
-            if c.load(Ordering::Relaxed) {
-                // Unwind out of the simulation; the daemon's worker
-                // catches this and marks the job cancelled. The panic
-                // message is a sentinel the worker recognizes.
-                panic!("dynapar-server: job cancelled");
-            }
-        }
-    }
-}
-
-impl LaunchController for ProgressTap {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn decide(&mut self, req: &ChildRequest) -> LaunchDecision {
-        self.tick(req.now.0);
-        self.inner.decide(req)
-    }
-
-    fn observe(&mut self, ev: &ControllerEvent) {
-        let now = match *ev {
-            ControllerEvent::ChildCtaStart { now } => now,
-            ControllerEvent::ChildCtaFinish { now, .. } => now,
-            ControllerEvent::ChildWarpFinish { now, .. } => now,
-        };
-        self.tick(now.0);
-        self.inner.observe(ev);
-    }
-
-    fn monitored(&self) -> Option<MonitoredMetrics> {
-        self.inner.monitored()
-    }
-
-    fn predictions(&self) -> Option<&[u64]> {
-        self.inner.predictions()
-    }
-
-    fn export_metrics(&self, reg: &mut dynapar_gpu::MetricsRegistry) {
-        self.inner.export_metrics(reg);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        self.inner.as_any()
-    }
-}
-
-/// The sentinel message [`ProgressTap`] panics with on cancellation.
-pub(crate) const CANCEL_SENTINEL: &str = "dynapar-server: job cancelled";
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynapar_gpu::WatchSample;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn tiny_req() -> JobRequest {
         JobRequest {
@@ -662,41 +507,42 @@ mod tests {
 
     #[test]
     fn armed_and_forked_runs_match_cold_artifacts() {
-        let cold_out = tiny_req().run(None).expect("cold");
+        let cold_out = tiny_req().run(None, |b| b).expect("cold");
         let cold = cold_out.artifact.expect("artifact").to_string();
         let warmup = cold_out.report.total_cycles / 2;
         assert!(warmup > 0, "tiny run long enough to split");
 
         // Armed run: identical artifact, plus captured snapshot bytes.
         let armed = tiny_req()
-            .run_armed(warmup, Observation::default())
+            .run(None, |b| b.snapshot_at(warmup))
             .expect("armed");
         assert_eq!(armed.artifact.expect("artifact").to_string(), cold);
         let snap = armed.snapshot.expect("snapshot captured mid-run");
 
         // Same-identity fork resumes and reproduces the cold bytes.
-        let forked = tiny_req()
-            .run_forked(&snap, Observation::default())
-            .expect("forked");
+        let forked = tiny_req().run(Some(&snap), |b| b).expect("forked");
         assert_eq!(forked.artifact.expect("artifact").to_string(), cold);
 
         // Garbage bytes are rejected, not misinterpreted.
-        let err = tiny_req()
-            .run_forked(b"not a snapshot", Observation::default())
-            .unwrap_err();
+        let err = tiny_req().run(Some(b"not a snapshot"), |b| b).unwrap_err();
         assert!(err.contains("snapshot"), "names the failure: {err}");
     }
 
     #[test]
-    fn progress_tap_is_byte_invisible() {
+    fn watch_hook_is_byte_invisible() {
         let req = tiny_req();
         let plain = req.artifact().expect("plain");
         let progress = Arc::new(AtomicU64::new(0));
+        let seen = progress.clone();
         let out = req
-            .run_observed(None, Some(progress.clone()), None)
-            .expect("tapped");
-        let tapped = out.artifact.expect("artifact");
-        assert_eq!(plain.to_string(), tapped.to_string());
-        assert!(progress.load(Ordering::Relaxed) > 0, "tap saw progress");
+            .run(None, |b| {
+                b.watch(Arc::new(move |s: WatchSample| {
+                    seen.store(s.now, Ordering::Relaxed)
+                }))
+            })
+            .expect("watched");
+        let watched = out.artifact.expect("artifact");
+        assert_eq!(plain.to_string(), watched.to_string());
+        assert!(progress.load(Ordering::Relaxed) > 0, "hook saw progress");
     }
 }

@@ -124,7 +124,7 @@ fn submit_status_result_round_trip_is_byte_identical_to_direct_run() {
     // artifact byte for byte, with and without the v1 `sim_jobs` key.
     for sim_jobs in [None, Some(4)] {
         let job = tiny_job("AMR", PolicySpec::Spawn, sim_jobs);
-        let direct = job.run(None).expect("direct run");
+        let direct = job.run(None, |b| b).expect("direct run");
         let expected = format!("{}\n", direct.artifact.expect("metrics full emits artifact"));
 
         let (addr, handle) = start(1);
@@ -370,13 +370,11 @@ fn fork_sweep_artifacts_are_byte_identical_to_cold_runs() {
     let base = ramp_job(PolicySpec::Spawn);
     let warmup = 2000;
     let armed = base
-        .run_armed(warmup, dynapar_server::Observation::default())
+        .run(None, |b| b.snapshot_at(warmup))
         .expect("armed ramp run");
     let snap = armed.snapshot.expect("ramp longer than warmup");
-    let (header, _) = dynapar_gpu::parse_snapshot(&snap).expect("well-formed snapshot");
-    assert_eq!(
-        header.get("pristine").and_then(Json::as_bool),
-        Some(true),
+    assert!(
+        dynapar_gpu::snapshot_is_pristine(&snap),
         "warmup cycle must precede the first launch decision"
     );
     let (addr, handle) = start(1);
@@ -419,6 +417,128 @@ fn fork_sweep_artifacts_are_byte_identical_to_cold_runs() {
     assert_eq!(get("failed"), 0);
     stop(&addr, handle);
 }
+
+#[test]
+fn fork_sweep_past_the_ramp_runs_every_point_cold() {
+    let policies = vec![PolicySpec::Spawn, PolicySpec::Dtbl, PolicySpec::Baseline];
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).unwrap();
+    let mut cold = Vec::new();
+    for p in &policies {
+        cold.push(client.run(&ramp_job(p.clone())).expect("cold run").artifact);
+    }
+    stop(&addr, handle);
+
+    // A fork cycle just before the first point's end: a snapshot is
+    // captured, but after launch decisions, so it must not be forked.
+    let base = ramp_job(policies[0].clone());
+    let total = cold[0]
+        .get("report")
+        .and_then(|r| r.get("total_cycles"))
+        .and_then(Json::as_u64)
+        .expect("report.total_cycles");
+    let warmup = total - 1;
+    let armed = base
+        .run(None, |b| b.snapshot_at(warmup))
+        .expect("armed run");
+    let snap = armed.snapshot.expect("run longer than warmup");
+    assert!(
+        !dynapar_gpu::snapshot_is_pristine(&snap),
+        "warmup cycle must lie past the first launch decision"
+    );
+
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).unwrap();
+    let doc = client
+        .roundtrip(&Request::Sweep(SweepRequest {
+            base,
+            policies: policies.clone(),
+            fork_warmup: Some(warmup),
+        }))
+        .expect("fork sweep");
+    let ids = doc.get("ids").and_then(Json::as_array).unwrap().to_vec();
+    assert_eq!(ids.len(), policies.len());
+    for (id, cold_art) in ids.iter().zip(&cold) {
+        let res = client
+            .result(id.as_u64().unwrap())
+            .expect("sweep point result");
+        assert_eq!(
+            res.artifact.to_string(),
+            cold_art.to_string(),
+            "a point that falls back to a cold run must match the cold artifact"
+        );
+    }
+    let stats = client.stats().expect("stats");
+    let get = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap();
+    assert_eq!(get("executed"), policies.len() as u64);
+    assert_eq!(get("forked"), 0, "a non-pristine ramp is never forked");
+    assert_eq!(get("failed"), 0);
+    stop(&addr, handle);
+}
+
+#[test]
+fn cancel_and_progress_reach_a_job_inside_its_pristine_ramp() {
+    // Nearly the whole run is a policy-pristine ramp: no launch
+    // decision and no child CTA happens before its last few CTAs.
+    let job = JobRequest {
+        workload: WorkloadRef::Spec {
+            text: dynapar_workloads::warm_ramp_spec(RAMP_CTAS, 1).to_text(),
+        },
+        metrics: MetricsLevel::Summary,
+        ..ramp_job(PolicySpec::Spawn)
+    };
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).unwrap();
+    let id = client.submit(&job).expect("submit").id;
+    let progress = loop {
+        let status = client.roundtrip(&Request::Status { id }).expect("status");
+        let state = status.get("state").and_then(Json::as_str).unwrap();
+        assert!(
+            state == "queued" || state == "running",
+            "job ended before any progress was reported: {status}"
+        );
+        let cycles = status
+            .get("progress_cycles")
+            .and_then(Json::as_u64)
+            .unwrap();
+        if cycles > 0 {
+            break cycles;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    };
+    client
+        .roundtrip(&Request::Cancel { id })
+        .expect("cancel a running job");
+    let err = client.result(id).unwrap_err();
+    assert!(err.contains("cancelled"), "unexpected result: {err}");
+    let status = client.roundtrip(&Request::Status { id }).expect("status");
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("cancelled")
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("cancelled").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("failed").and_then(Json::as_u64), Some(0));
+    client
+        .health()
+        .expect("daemon still answers after a cancel");
+    stop(&addr, handle);
+
+    // The reported cycle really lies inside the pristine ramp.
+    let snap = job
+        .run(None, |b| b.snapshot_at(progress))
+        .expect("armed run")
+        .snapshot
+        .expect("the run outlasts the reported progress");
+    assert!(
+        dynapar_gpu::snapshot_is_pristine(&snap),
+        "progress at cycle {progress} was reported after the first launch decision"
+    );
+}
+
+/// Light CTAs of the cancel test's ramp: long enough that a status
+/// poll sees the run in flight.
+const RAMP_CTAS: u32 = 1200;
 
 #[test]
 fn store_backed_daemon_survives_restart_with_its_memo_cache() {

@@ -7,7 +7,7 @@
 
 use dynapar_core::PolicySpec;
 use dynapar_gpu::MetricsLevel;
-use dynapar_server::{GpuPreset, JobRequest, Observation, WorkloadRef};
+use dynapar_server::{GpuPreset, JobRequest, WorkloadRef};
 use dynapar_workloads::Scale;
 
 fn job(policy: PolicySpec) -> JobRequest {
@@ -30,24 +30,20 @@ fn resume_is_byte_identical_across_cycles_and_policies() {
     let policies = [PolicySpec::Spawn, PolicySpec::Dtbl, PolicySpec::FreeLaunch];
     for policy in &policies {
         let req = job(policy.clone());
-        let cold_out = req.run(None).expect("cold run");
+        let cold_out = req.run(None, |b| b).expect("cold run");
         let total = cold_out.report.total_cycles;
         let cold = cold_out.artifact.expect("artifact").to_string();
         assert!(total >= 4, "run long enough to pick interior cycles");
         for cycle in [0, total / 2, total * 3 / 4] {
             let cell = format!("policy {policy:?}, cycle {cycle}");
-            let armed = req
-                .run_armed(cycle, Observation::default())
-                .expect("armed run");
+            let armed = req.run(None, |b| b.snapshot_at(cycle)).expect("armed run");
             assert_eq!(
                 armed.artifact.expect("artifact").to_string(),
                 cold,
                 "arming a snapshot changed artifact bytes ({cell})"
             );
             let snap = armed.snapshot.expect("snapshot captured mid-run");
-            let resumed = req
-                .run_forked(&snap, Observation::default())
-                .expect("resumed run");
+            let resumed = req.run(Some(&snap), |b| b).expect("resumed run");
             assert_eq!(
                 resumed.artifact.expect("artifact").to_string(),
                 cold,
@@ -60,9 +56,9 @@ fn resume_is_byte_identical_across_cycles_and_policies() {
 #[test]
 fn corrupted_and_truncated_snapshots_are_rejected() {
     let req = job(PolicySpec::Spawn);
-    let total = req.run(None).expect("cold").report.total_cycles;
+    let total = req.run(None, |b| b).expect("cold").report.total_cycles;
     let snap = req
-        .run_armed(total / 2, Observation::default())
+        .run(None, |b| b.snapshot_at(total / 2))
         .expect("armed")
         .snapshot
         .expect("snapshot captured");
@@ -70,7 +66,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     // Truncations at every interesting boundary are refused.
     for cut in [0, 1, snap.len() / 2, snap.len() - 1] {
         assert!(
-            req.run_forked(&snap[..cut], Observation::default()).is_err(),
+            req.run(Some(&snap[..cut]), |b| b).is_err(),
             "truncated snapshot ({cut} of {} bytes) must be rejected",
             snap.len()
         );
@@ -82,7 +78,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let idx = header_end + (bad.len() - header_end) / 2;
     bad[idx] ^= 0xff;
     assert!(
-        req.run_forked(&bad, Observation::default()).is_err(),
+        req.run(Some(&bad), |b| b).is_err(),
         "state corruption must be rejected"
     );
 
@@ -90,7 +86,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let mut bad = snap.clone();
     bad[2] ^= 0x01;
     assert!(
-        req.run_forked(&bad, Observation::default()).is_err(),
+        req.run(Some(&bad), |b| b).is_err(),
         "header corruption must be rejected"
     );
 }

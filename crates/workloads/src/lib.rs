@@ -50,5 +50,5 @@ mod program;
 pub mod spec;
 pub mod suite;
 
-pub use program::{explicit_source, regions, Benchmark, RunOptions, Scale};
+pub use program::{explicit_source, regions, Benchmark, Scale};
 pub use spec::{warm_ramp_spec, BenchmarkSpec};

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use dynapar_gpu::{
-    GpuConfig, Json, KernelDesc, LaunchController, MetricsLevel, RunOutcome, SimReport,
-    Simulation, SnapError, ThreadSource, ThreadWork, WatchHook,
+    GpuConfig, KernelDesc, LaunchController, RunOutcome, SimReport, Simulation, SimulationBuilder,
+    ThreadSource, ThreadWork,
 };
 
 /// Input-size presets.
@@ -67,50 +67,6 @@ pub mod regions {
     /// Base of the randomly-accessed auxiliary region (visited flags,
     /// distance arrays, hash buckets, reference indexes).
     pub const AUX_BASE: u64 = 0x8000_0000;
-}
-
-/// Run knobs beyond the `(config, controller, metrics)` triple: the
-/// optional decision trace, the warm-start snapshot arming, and the
-/// live watch hook. Everything here is byte-invisible observation that
-/// never changes simulated behavior — deliberately disjoint from the
-/// canonical run identity.
-#[derive(Default)]
-pub struct RunOptions {
-    /// Bounded decision trace capacity (incompatible with snapshots).
-    pub trace_capacity: Option<usize>,
-    /// Arm a snapshot capture at this cycle; the container comes back
-    /// in [`RunOutcome::snapshot`].
-    pub snapshot_at: Option<u64>,
-    /// Caller metadata echoed into the snapshot header.
-    pub snapshot_meta: Option<Json>,
-    /// Live per-sample observation callback.
-    pub watch: Option<WatchHook>,
-}
-
-impl RunOptions {
-    fn builder(
-        self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        metrics: MetricsLevel,
-    ) -> dynapar_gpu::SimulationBuilder {
-        let mut builder = Simulation::builder(cfg.clone())
-            .controller(controller)
-            .metrics(metrics);
-        if let Some(cap) = self.trace_capacity {
-            builder = builder.trace(cap);
-        }
-        if let Some(at) = self.snapshot_at {
-            builder = builder.snapshot_at(at);
-        }
-        if let Some(meta) = self.snapshot_meta {
-            builder = builder.snapshot_meta(meta);
-        }
-        if let Some(hook) = self.watch {
-            builder = builder.watch(hook);
-        }
-        builder
-    }
 }
 
 /// A fully-specified `<application, input>` pair — one row of Table I.
@@ -223,87 +179,19 @@ impl Benchmark {
 
     /// Runs the benchmark on `cfg` under `controller`.
     pub fn run(&self, cfg: &GpuConfig, controller: Box<dyn LaunchController>) -> SimReport {
-        self.run_full(cfg, controller, None, MetricsLevel::Off).report
+        self.run_with(Simulation::builder(cfg.clone()).controller(controller))
+            .report
     }
 
-    /// Runs the benchmark with full observability control: optional
-    /// bounded decision trace and a metrics level selecting whether (and
-    /// how much of) a [`RunArtifact`](dynapar_gpu::RunArtifact) the run
-    /// emits.
-    pub fn run_full(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        trace_capacity: Option<usize>,
-        metrics: MetricsLevel,
-    ) -> RunOutcome {
-        self.run_full_opts(
-            cfg,
-            controller,
-            metrics,
-            RunOptions {
-                trace_capacity,
-                ..RunOptions::default()
-            },
-        )
-    }
-
-    /// The fully general runner: [`Benchmark::run_full`] plus the
-    /// observation and warm-start knobs bundled in [`RunOptions`]. Every
-    /// narrower `run_*` method funnels through here, so the CLI, the
-    /// daemon, and the sweep drivers all assemble simulations the same
-    /// way — the precondition for byte-identical artifacts across entry
-    /// points.
-    pub fn run_full_opts(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        metrics: MetricsLevel,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        let mut sim = opts.builder(cfg, controller, metrics).build();
-        sim.launch_host(self.kernel());
-        sim.run()
-    }
-
-    /// Resumes a run from snapshot bytes previously captured via
-    /// [`RunOptions::snapshot_at`] and runs it to completion. The
-    /// snapshot already contains every kernel (including this
-    /// benchmark's host launch), so no `launch_host` happens here; the
-    /// benchmark only contributes the hardware/controller assembly,
-    /// which must describe the same run (see
-    /// [`SimulationBuilder::build_resumed`](dynapar_gpu::SimulationBuilder::build_resumed)).
-    ///
-    /// # Errors
-    ///
-    /// Everything `build_resumed` rejects: corrupted containers, config
-    /// or metrics mismatches, cross-policy resume of non-pristine
-    /// snapshots.
-    pub fn run_resumed(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        metrics: MetricsLevel,
-        opts: RunOptions,
-        snapshot: &[u8],
-    ) -> Result<RunOutcome, SnapError> {
-        let sim = opts.builder(cfg, controller, metrics).build_resumed(snapshot)?;
-        Ok(sim.run())
-    }
-
-    /// [`Benchmark::run_full_opts`] with the host-side self-profiler
-    /// enabled (no trace, metrics off — the profiling configuration the
-    /// `perf` harness uses). [`RunOutcome::profile`] carries the phase
-    /// report when the `profile` cargo feature is compiled into
-    /// `dynapar-gpu`; without the feature it is always `None`. Profiling
-    /// never changes simulated behavior, only observes host time.
-    pub fn run_full_profiled(
-        &self,
-        cfg: &GpuConfig,
-        controller: Box<dyn LaunchController>,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        let mut sim = opts.builder(cfg, controller, MetricsLevel::Off).profile(true).build();
+    /// Builds `builder`, launches this benchmark's host kernel and runs
+    /// the simulation to completion. Everything about the run — config,
+    /// controller, metrics level, trace, snapshot arming, watch hook,
+    /// profiler — is chosen on the [`SimulationBuilder`]; the benchmark
+    /// contributes only its workload. A resume needs no benchmark at
+    /// all: the snapshot already holds every kernel, so it is
+    /// `builder.build_resumed(snapshot)?.run()`.
+    pub fn run_with(&self, builder: SimulationBuilder) -> RunOutcome {
+        let mut sim = builder.build();
         sim.launch_host(self.kernel());
         sim.run()
     }

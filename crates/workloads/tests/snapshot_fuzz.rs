@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dynapar_core::SpawnPolicy;
 use dynapar_engine::DetRng;
 use dynapar_gpu::{parse_snapshot, write_snapshot, GpuConfig, MetricsLevel, Simulation};
-use dynapar_workloads::{suite, RunOptions, Scale};
+use dynapar_workloads::{suite, Scale};
 
 const CASES: u64 = 256;
 
@@ -27,14 +27,11 @@ fn seed_snapshot(cfg: &GpuConfig) -> Vec<u8> {
         .run(cfg, Box::new(SpawnPolicy::from_config(cfg)))
         .total_cycles;
     bench
-        .run_full_opts(
-            cfg,
-            Box::new(SpawnPolicy::from_config(cfg)),
-            MetricsLevel::Timeseries,
-            RunOptions {
-                snapshot_at: Some(total / 2),
-                ..RunOptions::default()
-            },
+        .run_with(
+            Simulation::builder(cfg.clone())
+                .controller(Box::new(SpawnPolicy::from_config(cfg)))
+                .metrics(MetricsLevel::Timeseries)
+                .snapshot_at(total / 2),
         )
         .snapshot
         .expect("an interior cycle captures a snapshot")

@@ -467,7 +467,7 @@ mod tests {
         let done = std::sync::Arc::new(AtomicUsize::new(0));
         let d = done.clone();
         let q = WorkQueue::new(2, move |x: u32| {
-            if x % 3 == 0 {
+            if x.is_multiple_of(3) {
                 panic!("task {x} boom");
             }
             d.fetch_add(1, Ordering::SeqCst);

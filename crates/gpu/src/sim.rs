@@ -3575,11 +3575,12 @@ mod snapshot_tests {
             .unwrap();
         let job = crate::snap::parse_snapshot(&snap).unwrap().0;
         assert_eq!(job.get("pristine").and_then(Json::as_bool), Some(false));
-        let err = Simulation::builder(GpuConfig::test_small())
+        let Err(err) = Simulation::builder(GpuConfig::test_small())
             .metrics(MetricsLevel::Summary)
             .build_resumed(&snap)
-            .err()
-            .expect("cross-policy resume of a non-pristine snapshot");
+        else {
+            panic!("cross-policy resume of a non-pristine snapshot");
+        };
         assert!(err.to_string().contains("pristine"), "{err}");
     }
 
@@ -3590,20 +3591,22 @@ mod snapshot_tests {
             .snapshot
             .unwrap();
         // Different hardware configuration.
-        let err = Simulation::builder(GpuConfig::kepler_k20m())
+        let Err(err) = Simulation::builder(GpuConfig::kepler_k20m())
             .controller(launcher())
             .metrics(MetricsLevel::Summary)
             .build_resumed(&snap)
-            .err()
-            .expect("config mismatch");
+        else {
+            panic!("config mismatch");
+        };
         assert!(err.to_string().contains("configuration"), "{err}");
         // Different metrics level.
-        let err = Simulation::builder(GpuConfig::test_small())
+        let Err(err) = Simulation::builder(GpuConfig::test_small())
             .controller(launcher())
             .metrics(MetricsLevel::Full)
             .build_resumed(&snap)
-            .err()
-            .expect("metrics mismatch");
+        else {
+            panic!("metrics mismatch");
+        };
         assert!(err.to_string().contains("metrics"), "{err}");
         // Tracing is unsupported on resumed runs.
         assert!(Simulation::builder(GpuConfig::test_small())

@@ -17,7 +17,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +29,7 @@ use dynapar_gpu::{MetricsLevel, SimulationBuilder, WatchHook, WatchSample};
 
 use crate::metrics::{health_response, metrics_response, Gauges, Phase, ServerMetrics};
 use crate::proto::{
-    error_response, result_response, shutdown_response, stats_response, status_response,
+    error_response, result_line, shutdown_response, stats_response, status_response,
     submit_response, sweep_response, terminal_error, watch_event, Request, MAX_LINE_BYTES,
 };
 use crate::registry::{Admission, JobHandles, JobState, Registry};
@@ -252,17 +252,20 @@ fn watch_sample_json(s: &WatchSample) -> Json {
     ])
 }
 
-/// The message a cancelled run panics with; [`run_entry`] recognizes it
-/// and marks the job cancelled instead of failed.
-const CANCEL_SENTINEL: &str = "dynapar-server: job cancelled";
+/// The payload a cancelled run unwinds with; [`run_entry`] recognizes it
+/// by type and marks the job cancelled instead of failed. It travels by
+/// `resume_unwind`, which skips the panic hook, so a cancellation prints
+/// nothing to stderr.
+struct Cancelled;
 
 /// The watch hook of one run attempt — the daemon's only live channel
 /// into a running simulation. At every sampling tick (every
 /// `sample_period` simulated cycles, whatever the workload does) it
 /// publishes the simulated cycle as the job's progress, feeds the
-/// sample to the job's `watch` ring, and unwinds out of the run if the
-/// job was cancelled; [`run_entry`] catches the unwind. Pure
-/// observation: artifact bytes are identical with or without it.
+/// sample to the job's `watch` ring, and unwinds out of the run with
+/// the [`Cancelled`] payload if the job was cancelled; [`run_entry`]
+/// catches the unwind. Pure observation: artifact bytes are identical
+/// with or without it.
 fn watch_hook(handles: &JobHandles) -> WatchHook {
     let progress = handles.progress.clone();
     let cancel = handles.cancel.clone();
@@ -271,7 +274,7 @@ fn watch_hook(handles: &JobHandles) -> WatchHook {
         progress.store(s.now, Ordering::Relaxed);
         ring.push(watch_sample_json(&s));
         if cancel.load(Ordering::Relaxed) {
-            panic!("{CANCEL_SENTINEL}");
+            resume_unwind(Box::new(Cancelled));
         }
     })
 }
@@ -301,13 +304,12 @@ fn run_entry(
             None => registry.fail(id, "run produced no artifact (metrics level off)".to_string()),
         },
         Ok(Err(e)) => registry.fail(id, e),
+        Err(payload) if payload.is::<Cancelled>() => registry.finish_cancelled(id),
         Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            if msg.contains(CANCEL_SENTINEL) {
-                registry.finish_cancelled(id);
-            } else {
-                registry.fail(id, format!("worker panic: {msg}"));
-            }
+            registry.fail(
+                id,
+                format!("worker panic: {}", panic_message(payload.as_ref())),
+            );
         }
     }
 }
@@ -489,18 +491,21 @@ fn read_line_capped(
 }
 
 fn send(stream: &mut TcpStream, doc: &Json) -> bool {
-    let mut line = doc.to_string();
+    send_line(stream, doc.to_string())
+}
+
+fn send_line(stream: &mut TcpStream, mut line: String) -> bool {
     line.push('\n');
     stream.write_all(line.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
+/// One admitted job's wire acknowledgement: `(id, cached, hash)`.
+type Ack = (u64, bool, u64);
+
 /// Admits one job into the registry. Returns the wire ack plus, for
 /// the execute path, the `(id, request)` entry the caller must place on
 /// the worker queue (possibly grouped with other sweep entries).
-fn admit(
-    state: &State,
-    job: JobRequest,
-) -> Result<((u64, bool, u64), Option<(u64, JobRequest)>), String> {
+fn admit(state: &State, job: JobRequest) -> Result<(Ack, Option<(u64, JobRequest)>), String> {
     if job.metrics == MetricsLevel::Off {
         return Err(format!(
             "metrics level `off` produces no artifact to return; use {}",
@@ -692,13 +697,13 @@ fn handle_client_inner(stream: TcpStream, state: &State) {
                 send(&mut writer, &resp)
             }
             Request::Result { id } => {
-                let resp = match wait_terminal(state, id) {
-                    None => error_response(&format!("unknown job id {id}")),
-                    Some(snap) if snap.state == JobState::Done => result_response(&snap),
-                    Some(snap) if snap.state.is_terminal() => terminal_error(&snap),
-                    Some(_) => error_response("daemon is shutting down"),
+                let line = match wait_terminal(state, id) {
+                    None => error_response(&format!("unknown job id {id}")).to_string(),
+                    Some(snap) if snap.state == JobState::Done => result_line(&snap),
+                    Some(snap) if snap.state.is_terminal() => terminal_error(&snap).to_string(),
+                    Some(_) => error_response("daemon is shutting down").to_string(),
                 };
-                send(&mut writer, &resp)
+                send_line(&mut writer, line)
             }
             Request::Watch { id } => stream_watch(state, &mut writer, id),
             Request::Cancel { id } => {
@@ -769,5 +774,54 @@ fn stream_watch(state: &State, writer: &mut TcpStream, id: u64) -> bool {
         if state.shutdown.load(Ordering::SeqCst) {
             return send(writer, &error_response("daemon is shutting down"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn cancellation_unwinds_without_a_panic_report() {
+        let registry = Registry::new();
+        let id = registry.submit(1).id();
+        let handles = registry.start(id).expect("queued");
+        assert_eq!(registry.cancel(id), Some(JobState::Running));
+        let hook = watch_hook(&handles);
+
+        // Count panic-hook calls made on this thread only; other tests
+        // panicking concurrently go to the previous hook as usual.
+        let me = std::thread::current().id();
+        let reported = Arc::new(AtomicUsize::new(0));
+        let prev = Arc::new(std::panic::take_hook());
+        {
+            let (reported, prev) = (reported.clone(), prev.clone());
+            std::panic::set_hook(Box::new(move |info| {
+                if std::thread::current().id() == me {
+                    reported.fetch_add(1, Ordering::SeqCst);
+                } else {
+                    prev(info);
+                }
+            }));
+        }
+        run_entry(&registry, id, || {
+            hook(WatchSample {
+                now: 7,
+                queue_depth: 0.0,
+                hwq_utilization: 0.0,
+                utilization: 0.0,
+                parent_ctas: 0,
+                child_ctas: 0,
+            });
+            Err("the cancelled hook returned".to_string())
+        });
+        std::panic::set_hook(Box::new(move |info| prev(info)));
+
+        assert_eq!(reported.load(Ordering::SeqCst), 0, "cancellation is silent");
+        let snap = registry.snapshot(id).expect("known");
+        assert_eq!(snap.state, JobState::Cancelled);
+        assert_eq!(snap.progress_cycles, 7);
+        assert_eq!(registry.stats().cancelled, 1);
     }
 }

@@ -174,10 +174,7 @@ fn render_metrics(uptime_us: u64, gauges: &Gauges, classes: &[(String, ClassMetr
                 ("workers", Json::U64(gauges.workers)),
             ]),
         ),
-        (
-            "latencies",
-            Json::Obj(latencies.map(|(k, v)| (k, v)).collect()),
-        ),
+        ("latencies", Json::Obj(latencies.collect())),
         (
             "prometheus",
             Json::str(prometheus_text(uptime_us, gauges, classes)),

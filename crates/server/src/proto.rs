@@ -26,8 +26,9 @@
 //! artifact can be arbitrarily large).
 //!
 //! Byte identity on the wire: the `result` response embeds the run
-//! artifact as a JSON subtree. The emitter is the same deterministic
-//! [`Json`] writer the CLI uses, and parsing preserves member order, so
+//! artifact as a JSON subtree. The registry renders each artifact once
+//! with the same deterministic [`Json`] writer the CLI uses and splices
+//! those bytes into the line, and parsing preserves member order, so
 //! re-emitting the extracted subtree with `to_string()` reproduces the
 //! exact bytes `dynapar run --emit-json` writes — the protocol suite
 //! and the CI smoke `cmp` them.
@@ -149,7 +150,7 @@ impl Request {
                     .map(|p| {
                         p.as_str()
                             .ok_or_else(|| "sweep `policies` entries must be strings".to_string())
-                            .and_then(|s| PolicySpec::parse(s))
+                            .and_then(PolicySpec::parse)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 let fork_warmup = match doc.get("fork_warmup") {
@@ -267,20 +268,25 @@ pub fn status_response(snap: &JobSnapshot) -> Json {
     Json::obj(members)
 }
 
-/// The result payload for a `Done` job (artifact embedded as a
-/// subtree). Callers must only pass terminal, successful snapshots.
-pub fn result_response(snap: &JobSnapshot) -> Json {
+/// The result line for a `Done` job, without its newline:
+/// `{ok,id,cached,hash,artifact}` with the memoized artifact bytes
+/// spliced in as the last member. Byte-identical to rendering the same
+/// members as one [`Json`] object, without re-rendering the artifact.
+/// Callers must only pass terminal, successful snapshots.
+pub fn result_line(snap: &JobSnapshot) -> String {
     let artifact = snap
         .artifact
-        .as_ref()
-        .expect("result_response needs a Done snapshot");
-    Json::obj([
+        .as_deref()
+        .expect("result_line needs a Done snapshot");
+    let head = Json::obj([
         ("ok", Json::Bool(true)),
         ("id", Json::U64(snap.id)),
         ("cached", Json::Bool(snap.cached)),
         ("hash", Json::str(format!("{:016x}", snap.hash))),
-        ("artifact", artifact.json().clone()),
     ])
+    .to_string();
+    let head = head.strip_suffix('}').expect("an object ends in `}`");
+    format!("{head},\"artifact\":{artifact}}}")
 }
 
 /// One `watch` stream event. `end` is true for the final event.

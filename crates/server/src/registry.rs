@@ -5,8 +5,9 @@
 //! client connection share. Its invariants:
 //!
 //! * **Memoization** — once a job with canonical hash `h` completes,
-//!   its artifact is cached under `h`; any later submit with the same
-//!   hash is answered from the cache without re-simulating (sound
+//!   its artifact is rendered once and the text is cached under `h`;
+//!   any later submit with the same hash is answered from the cache
+//!   without re-simulating or re-rendering (sound
 //!   because artifacts are a pure function of the canonical config —
 //!   the identity [`CanonicalConfig`](dynapar_gpu::CanonicalConfig)
 //!   captures, pinned by the determinism suite).
@@ -21,6 +22,7 @@
 //!   keeps serving (the queue's workers survive unwinds).
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -83,8 +85,9 @@ pub struct JobSnapshot {
     pub progress_cycles: u64,
     /// Failure message, when `state` is `Failed`.
     pub error: Option<String>,
-    /// The artifact, when `state` is `Done`.
-    pub artifact: Option<Arc<RunArtifact>>,
+    /// The rendered artifact (compact JSON, no trailing newline), when
+    /// `state` is `Done`.
+    pub artifact: Option<Arc<str>>,
 }
 
 /// Lifetime counters, reported by the `stats` request. Doubles as the
@@ -148,7 +151,7 @@ struct Job {
     hash: u64,
     cached: bool,
     error: Option<String>,
-    artifact: Option<Arc<RunArtifact>>,
+    artifact: Option<Arc<str>>,
     progress: Arc<AtomicU64>,
     cancel: Arc<AtomicBool>,
     samples: SampleRing,
@@ -163,7 +166,8 @@ struct Job {
 #[derive(Default)]
 struct Inner {
     jobs: HashMap<u64, Job>,
-    memo: HashMap<u64, Arc<RunArtifact>>,
+    /// hash → rendered artifact text, shared by every job it answers.
+    memo: HashMap<u64, Arc<str>>,
     /// hash → primary job id, while that primary is queued/running.
     inflight: HashMap<u64, u64>,
     next_id: u64,
@@ -334,7 +338,10 @@ impl Registry {
     /// well-formed `<hash:016x>.json` artifacts that fit the byte cap.
     /// Files are admitted newest first while they fit; the rest are
     /// deleted unread, so an evicted config re-executes instead of being
-    /// answered from a memo entry whose file is gone. Unparseable files
+    /// answered from a memo entry whose file is gone. Each kept file is
+    /// validated with [`RunArtifact::parse`] (linear in its size) and
+    /// cached as its compact rendering, which for a file the daemon
+    /// wrote is the file minus its trailing newline. Unparseable files
     /// are skipped with a warning — a corrupt entry must not take the
     /// daemon down. Returns the number loaded.
     fn preload(&self) -> std::io::Result<usize> {
@@ -381,8 +388,9 @@ impl Registry {
                 .and_then(|text| RunArtifact::parse(&text).map_err(|e| e.to_string()));
             match artifact {
                 Ok(artifact) => {
+                    let text: Arc<str> = artifact.to_string().into();
                     let mut g = self.inner.lock().expect("registry poisoned");
-                    g.memo.insert(hash, Arc::new(artifact));
+                    g.memo.insert(hash, text);
                     g.store_lru.record(hash, size);
                     loaded += 1;
                 }
@@ -412,17 +420,21 @@ impl Registry {
         Ok(loaded)
     }
 
-    /// Persists one completed artifact to the store (write-temp-then-
-    /// rename, so a crash never leaves a half-written entry under the
-    /// canonical name). Persistence failure degrades to an in-memory
-    /// cache entry — it must not fail the job.
-    fn persist(&self, hash: u64, artifact: &RunArtifact) {
+    /// Persists one rendered artifact to the store as its bytes plus a
+    /// newline (write-temp-then-rename, so a crash never leaves a
+    /// half-written entry under the canonical name). Persistence failure
+    /// degrades to an in-memory cache entry — it must not fail the job.
+    fn persist(&self, hash: u64, text: &str) {
         let Some(dir) = &self.store else { return };
         let tmp = dir.join(format!(".{hash:016x}.json.tmp"));
         let path = dir.join(format!("{hash:016x}.json"));
-        let text = format!("{artifact}\n");
-        let size = text.len() as u64;
-        let written = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path));
+        let size = text.len() as u64 + 1;
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(text.as_bytes())?;
+                f.write_all(b"\n")
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path));
         match written {
             Ok(()) => {
                 self.inner
@@ -579,10 +591,11 @@ impl Registry {
         self.inner.lock().expect("registry poisoned").stats.forked += 1;
     }
 
-    /// Records a completed simulation: memoizes the artifact and
-    /// completes the primary *and every follower* coalesced onto it.
+    /// Records a completed simulation: renders the artifact once,
+    /// memoizes the text and completes the primary *and every follower*
+    /// coalesced onto it.
     pub fn complete(&self, id: u64, artifact: RunArtifact) {
-        let artifact = Arc::new(artifact);
+        let artifact: Arc<str> = artifact.to_string().into();
         let hash = {
             let g = self.inner.lock().expect("registry poisoned");
             match g.jobs.get(&id) {
@@ -800,6 +813,87 @@ mod tests {
             r#""metrics":{},"ccqs_samples":[]}"#,
         ))
         .expect("valid minimal artifact")
+    }
+
+    /// A real tiny-scale run's artifact, as the daemon executes it.
+    fn real_artifact() -> RunArtifact {
+        crate::request::JobRequest {
+            workload: crate::request::WorkloadRef::Suite {
+                bench: "AMR".into(),
+                scale: dynapar_workloads::Scale::Tiny,
+            },
+            policy: dynapar_core::PolicySpec::Spawn,
+            seed: 7,
+            metrics: dynapar_gpu::MetricsLevel::Full,
+            gpu: crate::request::GpuPreset::KeplerK20m,
+            sim_jobs: None,
+            sim_window: dynapar_gpu::SimWindow::Auto,
+        }
+        .artifact()
+        .expect("tiny AMR runs")
+    }
+
+    /// The result line with `id` and `cached` blanked, for comparing
+    /// the lines of different jobs.
+    fn line_without_identity(snap: &JobSnapshot) -> String {
+        let anon = JobSnapshot {
+            id: 0,
+            cached: false,
+            ..snap.clone()
+        };
+        crate::proto::result_line(&anon)
+    }
+
+    #[test]
+    fn memo_bytes_match_the_rendered_artifact_on_every_path() {
+        let dir =
+            std::env::temp_dir().join(format!("dynapar-registry-bytes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let artifact = real_artifact();
+        let rendered = artifact.to_string();
+        let r = Registry::with_store(&dir).expect("store dir");
+        let a = r.submit(0x5eed);
+        r.start(a.id()).expect("queued");
+        r.complete(a.id(), artifact.clone());
+        let executed = r.snapshot(a.id()).expect("known");
+        assert_eq!(executed.artifact.as_deref(), Some(rendered.as_str()));
+
+        // The spliced line is the line the whole response object renders.
+        let tree = Json::obj([
+            ("ok", Json::Bool(true)),
+            ("id", Json::U64(executed.id)),
+            ("cached", Json::Bool(executed.cached)),
+            ("hash", Json::str(format!("{:016x}", executed.hash))),
+            ("artifact", artifact.json().clone()),
+        ]);
+        assert_eq!(crate::proto::result_line(&executed), tree.to_string());
+
+        // A memo hit answers with the executed job's bytes.
+        let hit = r.submit(0x5eed);
+        assert!(matches!(hit, Admission::Cached { .. }));
+        let hit = r.snapshot(hit.id()).expect("known");
+        assert!(hit.cached);
+        assert_eq!(
+            line_without_identity(&hit),
+            line_without_identity(&executed)
+        );
+
+        // A restarted registry answers from the store with the file's
+        // bytes, minus the newline persist appended.
+        let file = std::fs::read_to_string(dir.join(format!("{:016x}.json", 0x5eed_u64)))
+            .expect("persisted");
+        assert_eq!(file.strip_suffix('\n'), Some(rendered.as_str()));
+        drop(r);
+        let r2 = Registry::with_store(&dir).expect("store dir");
+        let preloaded = r2.submit(0x5eed);
+        assert!(matches!(preloaded, Admission::Cached { .. }));
+        let preloaded = r2.snapshot(preloaded.id()).expect("known");
+        assert_eq!(preloaded.artifact.as_deref(), file.strip_suffix('\n'));
+        assert_eq!(
+            line_without_identity(&preloaded),
+            line_without_identity(&executed)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,6 +30,14 @@ trap 'rm -rf "$artifact_dir"; [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/
 grep -q '"ccqs_samples"' "$artifact_dir/run.json"
 grep -q '"estimate"' "$artifact_dir/run.json"
 
+echo "== paper-scale artifact check (JSON parsing stays linear) =="
+# AMR under baseline writes a 7.7 MB artifact. The parser must read it
+# back in well under a second; a parser that rescans the rest of the
+# input per character does not finish within the timeout.
+./target/release/dynapar run --bench AMR --policy baseline --scale paper \
+    --metrics full --emit-json "$artifact_dir/amr-paper.json"
+timeout 60 ./target/release/dynapar check-artifact --file "$artifact_dir/amr-paper.json"
+
 echo "== snapshot/resume byte identity (run --snapshot-at / --resume) =="
 # A run that captures a snapshot mid-flight and a fresh run resumed
 # from that snapshot must both reproduce the uninterrupted run's
@@ -292,5 +300,8 @@ CARGO_TARGET_DIR=target/ci-profile ./target/ci-profile/release/perf \
 echo "== deprecated-API gate (workspace must not call shims) =="
 CARGO_TARGET_DIR=target/ci-deprecated RUSTFLAGS="-D deprecated" \
     cargo check -q --offline --workspace --all-targets
+
+echo "== clippy gate (every target, warnings are errors) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== ci: all green =="

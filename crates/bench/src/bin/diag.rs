@@ -15,7 +15,9 @@ fn main() {
                 Some(n) => name = n,
                 None => usage_error("--bench expects a benchmark name"),
             },
-            other => usage_error(&format!("unknown argument {other:?} (diag adds --bench NAME)")),
+            other => usage_error(&format!(
+                "unknown argument {other:?} (diag adds --bench NAME)"
+            )),
         }
     }
     let cfg = opts.config();

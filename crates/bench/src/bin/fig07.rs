@@ -7,7 +7,10 @@ use dynapar_core::BaselineDp;
 fn main() {
     let opts = Options::from_args().unwrap_or_else(|e| e.exit());
     let cfg = opts.config();
-    println!("# Fig. 7 — child CTA size sensitivity (scale {:?})", opts.scale);
+    println!(
+        "# Fig. 7 — child CTA size sensitivity (scale {:?})",
+        opts.scale
+    );
     let widths = [14, 8, 8, 8];
     print_header(&["benchmark", "CTA-64", "CTA-128", "CTA-256"], &widths);
     for bench in opts.suite() {

@@ -7,9 +7,21 @@ use dynapar_workloads::suite::geomean;
 fn main() {
     let opts = Options::from_args().unwrap_or_else(|e| e.exit());
     let cfg = opts.config();
-    println!("# Fig. 15 — speedup over flat (scale {:?}, seed {})", opts.scale, opts.seed);
+    println!(
+        "# Fig. 15 — speedup over flat (scale {:?}, seed {})",
+        opts.scale, opts.seed
+    );
     let widths = [14, 12, 14, 8, 12];
-    print_header(&["benchmark", "Baseline-DP", "Offline-Search", "SPAWN", "flat cycles"], &widths);
+    print_header(
+        &[
+            "benchmark",
+            "Baseline-DP",
+            "Offline-Search",
+            "SPAWN",
+            "flat cycles",
+        ],
+        &widths,
+    );
     let mut base = Vec::new();
     let mut offl = Vec::new();
     let mut spawn = Vec::new();
@@ -40,9 +52,7 @@ fn main() {
         &widths,
     );
     println!();
-    println!(
-        "# paper: SPAWN +69% over flat, +57% over Baseline-DP, within 6% of Offline-Search"
-    );
+    println!("# paper: SPAWN +69% over flat, +57% over Baseline-DP, within 6% of Offline-Search");
     println!(
         "# measured: SPAWN/flat {:.2}, SPAWN/Baseline-DP {:.2}, SPAWN/Offline {:.2}",
         geomean(&spawn),

@@ -7,7 +7,16 @@ fn main() {
     let cfg = opts.config();
     println!("# Fig. 16 — SMX occupancy (scale {:?})", opts.scale);
     let widths = [14, 8, 12, 14, 8];
-    print_header(&["benchmark", "Flat", "Baseline-DP", "Offline-Search", "SPAWN"], &widths);
+    print_header(
+        &[
+            "benchmark",
+            "Flat",
+            "Baseline-DP",
+            "Offline-Search",
+            "SPAWN",
+        ],
+        &widths,
+    );
     let mut sums = [0.0f64; 3];
     let mut n = 0u32;
     for runs in run_suite_schemes(&opts.suite(), &cfg, opts.jobs) {
@@ -38,5 +47,7 @@ fn main() {
         pct(sums[2] / n as f64),
         sums[2] / sums[0]
     );
-    println!("# paper: SPAWN achieves 1.96x the occupancy of Baseline-DP, within 4% of Offline-Search.");
+    println!(
+        "# paper: SPAWN achieves 1.96x the occupancy of Baseline-DP, within 4% of Offline-Search."
+    );
 }

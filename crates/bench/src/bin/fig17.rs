@@ -7,7 +7,16 @@ fn main() {
     let cfg = opts.config();
     println!("# Fig. 17 — L2 hit rate (scale {:?})", opts.scale);
     let widths = [14, 8, 12, 14, 8];
-    print_header(&["benchmark", "Flat", "Baseline-DP", "Offline-Search", "SPAWN"], &widths);
+    print_header(
+        &[
+            "benchmark",
+            "Flat",
+            "Baseline-DP",
+            "Offline-Search",
+            "SPAWN",
+        ],
+        &widths,
+    );
     let mut d = 0.0;
     let mut n = 0u32;
     for runs in run_suite_schemes(&opts.suite(), &cfg, opts.jobs) {
@@ -29,7 +38,10 @@ fn main() {
             &widths,
         );
     }
-    println!("# mean SPAWN-vs-baseline L2 hit-rate delta: {}", pct(d / n as f64));
+    println!(
+        "# mean SPAWN-vs-baseline L2 hit-rate delta: {}",
+        pct(d / n as f64)
+    );
     println!("# paper: SPAWN improves L2 hit rate ~10% over Baseline-DP by restoring");
     println!("# parent-child temporal/spatial locality.");
 }

@@ -6,9 +6,15 @@ use dynapar_bench::{print_header, print_row, run_suite_schemes, Options};
 fn main() {
     let opts = Options::from_args().unwrap_or_else(|e| e.exit());
     let cfg = opts.config();
-    println!("# Fig. 18 — child kernels launched (scale {:?})", opts.scale);
+    println!(
+        "# Fig. 18 — child kernels launched (scale {:?})",
+        opts.scale
+    );
     let widths = [14, 12, 14, 8];
-    print_header(&["benchmark", "Baseline-DP", "Offline-Search", "SPAWN"], &widths);
+    print_header(
+        &["benchmark", "Baseline-DP", "Offline-Search", "SPAWN"],
+        &widths,
+    );
     let mut base_total = 0u64;
     let mut spawn_total = 0u64;
     for runs in run_suite_schemes(&opts.suite(), &cfg, opts.jobs) {

@@ -8,7 +8,10 @@ use dynapar_workloads::suite;
 
 fn dump(label: &str, r: &SimReport) {
     println!("## {label}: total {} cycles", r.total_cycles);
-    println!("{:>12} {:>8} {:>8} {:>6}", "cycle", "parent", "child", "util");
+    println!(
+        "{:>12} {:>8} {:>8} {:>6}",
+        "cycle", "parent", "child", "util"
+    );
     let stride = (r.timeline.len() / 40).max(1);
     for (t, s) in r.timeline.iter().step_by(stride) {
         println!(

@@ -9,9 +9,15 @@ use dynapar_workloads::suite;
 fn main() {
     let opts = Options::from_args().unwrap_or_else(|e| e.exit());
     let cfg = opts.config();
-    println!("# Fig. 21 — SPAWN vs DTBL, speedup over flat (scale {:?})", opts.scale);
+    println!(
+        "# Fig. 21 — SPAWN vs DTBL, speedup over flat (scale {:?})",
+        opts.scale
+    );
     let widths = [16, 8, 8, 12, 10];
-    print_header(&["benchmark", "SPAWN", "DTBL", "agg. CTAs", "DTBL kernels"], &widths);
+    print_header(
+        &["benchmark", "SPAWN", "DTBL", "agg. CTAs", "DTBL kernels"],
+        &widths,
+    );
     for name in [
         "SA-thaliana",
         "SA-elegans",

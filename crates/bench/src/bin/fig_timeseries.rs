@@ -49,17 +49,17 @@ fn gauge_means(artifact: &RunArtifact, name: &str) -> Vec<(f64, f64)> {
     let Some(ts) = artifact.timeseries() else {
         return Vec::new();
     };
-    let Some(series) = ts
-        .get("series")
-        .and_then(Json::as_array)
-        .and_then(|all| {
-            all.iter()
-                .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-        })
-    else {
+    let Some(series) = ts.get("series").and_then(Json::as_array).and_then(|all| {
+        all.iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+    }) else {
         return Vec::new();
     };
-    let window = 1u64 << series.get("window_log2").and_then(Json::as_u64).unwrap_or(10);
+    let window = 1u64
+        << series
+            .get("window_log2")
+            .and_then(Json::as_u64)
+            .unwrap_or(10);
     let Some(points) = series.get("points").and_then(Json::as_array) else {
         return Vec::new();
     };
@@ -73,7 +73,11 @@ fn gauge_means(artifact: &RunArtifact, name: &str) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn run(bench: &Benchmark, cfg: &dynapar_gpu::GpuConfig, ctrl: Box<dyn LaunchController>) -> RunArtifact {
+fn run(
+    bench: &Benchmark,
+    cfg: &dynapar_gpu::GpuConfig,
+    ctrl: Box<dyn LaunchController>,
+) -> RunArtifact {
     bench
         .run_with(
             Simulation::builder(cfg.clone())

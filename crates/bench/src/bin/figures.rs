@@ -26,7 +26,9 @@ fn out_dir(rest: Vec<String>) -> PathBuf {
                 Some(d) => dir = PathBuf::from(d),
                 None => usage_error("--out expects a directory"),
             },
-            other => usage_error(&format!("unknown argument {other:?} (figures adds --out DIR)")),
+            other => usage_error(&format!(
+                "unknown argument {other:?} (figures adds --out DIR)"
+            )),
         }
     }
     fs::create_dir_all(&dir).expect("create output directory");

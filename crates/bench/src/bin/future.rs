@@ -15,7 +15,10 @@ fn main() {
 
     println!("# Future hardware — launch overhead sweep (BFS-graph500)");
     let widths = [12, 12, 12, 8];
-    print_header(&["b (cycles)", "flat cycles", "Baseline-DP", "SPAWN"], &widths);
+    print_header(
+        &["b (cycles)", "flat cycles", "Baseline-DP", "SPAWN"],
+        &widths,
+    );
     for scale_b in [1.0f64, 0.5, 0.25, 0.1, 0.0] {
         let mut cfg = opts.config();
         cfg.launch.b = (cfg.launch.b as f64 * scale_b) as u64;

@@ -15,10 +15,25 @@ fn main() {
         opts.scale
     );
     let widths = [14, 10, 12, 8, 8];
-    print_header(&["input", "flat cycles", "Baseline-DP", "SPAWN", "DTBL"], &widths);
+    print_header(
+        &["input", "flat cycles", "Baseline-DP", "SPAWN", "DTBL"],
+        &widths,
+    );
     for input in [GraphInput::Citation, GraphInput::Graph500] {
-        let flat = levels::run(input, opts.scale, opts.seed, &cfg, Box::new(dynapar_gpu::InlineAll));
-        let base = levels::run(input, opts.scale, opts.seed, &cfg, Box::new(BaselineDp::new()));
+        let flat = levels::run(
+            input,
+            opts.scale,
+            opts.seed,
+            &cfg,
+            Box::new(dynapar_gpu::InlineAll),
+        );
+        let base = levels::run(
+            input,
+            opts.scale,
+            opts.seed,
+            &cfg,
+            Box::new(BaselineDp::new()),
+        );
         let spawn = levels::run(
             input,
             opts.scale,
@@ -42,7 +57,10 @@ fn main() {
             "",
             base.child_kernels_launched,
             spawn.child_kernels_launched,
-            100.0 * (1.0 - spawn.child_kernels_launched as f64 / base.child_kernels_launched.max(1) as f64),
+            100.0
+                * (1.0
+                    - spawn.child_kernels_launched as f64
+                        / base.child_kernels_launched.max(1) as f64),
         );
     }
     println!("# SPAWN's metrics persist across level kernels, warm-starting every");

@@ -3,9 +3,7 @@
 //! one-stop overview table for the repository.
 
 use dynapar_bench::{fmt2, print_header, print_row, Options};
-use dynapar_core::{
-    AdaptiveThreshold, AlwaysLaunch, BaselineDp, Dtbl, FreeLaunch, SpawnPolicy,
-};
+use dynapar_core::{AdaptiveThreshold, AlwaysLaunch, BaselineDp, Dtbl, FreeLaunch, SpawnPolicy};
 use dynapar_gpu::{GpuConfig, LaunchController};
 use dynapar_workloads::suite::geomean;
 use dynapar_workloads::Benchmark;

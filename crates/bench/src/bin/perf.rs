@@ -91,12 +91,16 @@ fn main() {
             // only switches perf from its serial default to the pool.
             "--parallel" => serial = false,
             "--emit-json" => {
-                emit_json =
-                    Some(rest.next().unwrap_or_else(|| usage_error("--emit-json expects a path")));
+                emit_json = Some(
+                    rest.next()
+                        .unwrap_or_else(|| usage_error("--emit-json expects a path")),
+                );
             }
             "--baseline" => {
-                baseline =
-                    Some(rest.next().unwrap_or_else(|| usage_error("--baseline expects a path")));
+                baseline = Some(
+                    rest.next()
+                        .unwrap_or_else(|| usage_error("--baseline expects a path")),
+                );
             }
             "--max-regress" => {
                 let v = rest
@@ -110,7 +114,9 @@ fn main() {
                 };
             }
             "--runs" => {
-                let v = rest.next().unwrap_or_else(|| usage_error("--runs expects a count ≥ 1"));
+                let v = rest
+                    .next()
+                    .unwrap_or_else(|| usage_error("--runs expects a count ≥ 1"));
                 runs = match v.parse() {
                     Ok(n) if n >= 1 => n,
                     _ => usage_error(&format!("--runs expects a count ≥ 1, got {v:?}")),
@@ -127,11 +133,14 @@ fn main() {
             }
             "--check-profile" => {
                 check_profile = Some(
-                    rest.next().unwrap_or_else(|| usage_error("--check-profile expects a path")),
+                    rest.next()
+                        .unwrap_or_else(|| usage_error("--check-profile expects a path")),
                 );
             }
             "--metrics" => {
-                let v = rest.next().unwrap_or_else(|| usage_error("--metrics expects a level"));
+                let v = rest
+                    .next()
+                    .unwrap_or_else(|| usage_error("--metrics expects a level"));
                 metrics = parse_metrics_level(&v).unwrap_or_else(|e| e.exit());
             }
             "--sweep-fork" => sweep_fork = true,
@@ -221,7 +230,10 @@ fn main() {
         runs,
         metrics.as_str()
     );
-    println!("{:<28} {:>12} {:>10} {:>12}", "run", "events", "wall_ms", "events/sec");
+    println!(
+        "{:<28} {:>12} {:>10} {:>12}",
+        "run", "events", "wall_ms", "events/sec"
+    );
     let started = std::time::Instant::now();
     let results = par_map(jobs, opts.jobs, |(label, job)| (label, job()));
     let harness_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -325,7 +337,10 @@ fn main() {
             (rates.iter().map(|r| r.ln()).sum::<f64>() / rates.len() as f64).exp()
         }
     };
-    println!("{:<28} {:>12} {:>10} {:>12.0}", "GEOMEAN (per-run)", "", "", geomean);
+    println!(
+        "{:<28} {:>12} {:>10} {:>12.0}",
+        "GEOMEAN (per-run)", "", "", geomean
+    );
     let profile_json = if profile {
         let p = &merged_profile;
         let attributed = p.attributed_ns();
@@ -336,11 +351,24 @@ fn main() {
             profiled_wall_ns as f64 / 1e6,
             coverage
         );
-        println!("{:<12} {:>14} {:>12} {:>8}", "phase", "ns", "count", "share");
+        println!(
+            "{:<12} {:>14} {:>12} {:>8}",
+            "phase", "ns", "count", "share"
+        );
         let mut phases = Vec::new();
         for s in &p.phases {
-            let share = if attributed > 0 { s.ns as f64 / attributed as f64 } else { 0.0 };
-            println!("{:<12} {:>14} {:>12} {:>7.1}%", s.name, s.ns, s.count, share * 100.0);
+            let share = if attributed > 0 {
+                s.ns as f64 / attributed as f64
+            } else {
+                0.0
+            };
+            println!(
+                "{:<12} {:>14} {:>12} {:>7.1}%",
+                s.name,
+                s.ns,
+                s.count,
+                share * 100.0
+            );
             phases.push(Json::obj([
                 ("name", Json::str(s.name)),
                 ("ns", Json::U64(s.ns)),
@@ -547,7 +575,10 @@ fn run_sweep_fork(
         runs,
         SWEEP_FORK_WARMUP
     );
-    println!("{:<28} {:>12} {:>10} {:>12}", "run", "events", "wall_ms", "events/sec");
+    println!(
+        "{:<28} {:>12} {:>10} {:>12}",
+        "run", "events", "wall_ms", "events/sec"
+    );
     let mut rows = Vec::new();
     let mut total_events = 0u64;
     let mut total_ms = 0.0f64;
@@ -564,7 +595,11 @@ fn run_sweep_fork(
         let label = format!("{kind}/{}", p.label());
         let wall = median(w);
         let ev = events[slot];
-        let rate = if wall > 0.0 { ev as f64 / (wall / 1e3) } else { 0.0 };
+        let rate = if wall > 0.0 {
+            ev as f64 / (wall / 1e3)
+        } else {
+            0.0
+        };
         println!("{:<28} {:>12} {:>10.1} {:>12.0}", label, ev, wall, rate);
         if slot < policies.len() {
             cold_ms += wall;
@@ -580,11 +615,12 @@ fn run_sweep_fork(
             ("events_per_sec", Json::F64(rate)),
         ]));
     }
-    let speedup = if warm_ms > 0.0 { cold_ms / warm_ms } else { 0.0 };
-    println!(
-        "{:<28} {:>12} {:>10.1}",
-        "COLD SWEEP", "", cold_ms
-    );
+    let speedup = if warm_ms > 0.0 {
+        cold_ms / warm_ms
+    } else {
+        0.0
+    };
+    println!("{:<28} {:>12} {:>10.1}", "COLD SWEEP", "", cold_ms);
     println!(
         "{:<28} {:>12} {:>10.1}   ({speedup:.2}x faster warm)",
         "WARM SWEEP (ramp + forks)", "", warm_ms
@@ -606,7 +642,11 @@ fn run_sweep_fork(
         ]);
         format!("{:016x}", canonical_json_hash(&preimage))
     };
-    let sim_rate = if total_ms > 0.0 { total_events as f64 / (total_ms / 1e3) } else { 0.0 };
+    let sim_rate = if total_ms > 0.0 {
+        total_events as f64 / (total_ms / 1e3)
+    } else {
+        0.0
+    };
     let doc = Json::obj([
         ("schema", Json::str(PERF_SCHEMA)),
         ("mode", Json::str("sweep-fork")),
@@ -686,7 +726,9 @@ fn gate_against_baseline(path: &str, current: &Json, max_regress: f64) -> Result
         }
     }
     let total = |doc: &Json, field: &str| {
-        doc.get("total").and_then(|t| t.get(field)).and_then(Json::as_f64)
+        doc.get("total")
+            .and_then(|t| t.get(field))
+            .and_then(Json::as_f64)
     };
     let b_events = total(&base, "events").ok_or(format!("baseline {path} lacks total.events"))?;
     let c_events = total(current, "events").expect("emitted artifact has totals");
@@ -731,9 +773,9 @@ fn gate_against_baseline(path: &str, current: &Json, max_regress: f64) -> Result
 fn validate_profile_artifact(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let p = doc
-        .get("profile")
-        .ok_or(format!("{path} has no `profile` section (was it run with --profile?)"))?;
+    let p = doc.get("profile").ok_or(format!(
+        "{path} has no `profile` section (was it run with --profile?)"
+    ))?;
     let schema = p
         .get("schema")
         .and_then(Json::as_str)

@@ -14,7 +14,13 @@ fn main() {
     );
     let widths = [12, 12, 14, 8, 14];
     print_header(
-        &["seed", "Baseline-DP", "Offline-Search", "SPAWN", "SPAWN/Offline"],
+        &[
+            "seed",
+            "Baseline-DP",
+            "Offline-Search",
+            "SPAWN",
+            "SPAWN/Offline",
+        ],
         &widths,
     );
     for seed in [opts.seed, 7, 1_234_567] {

@@ -11,7 +11,15 @@ fn main() {
     );
     let widths = [14, 6, 16, 9, 10, 22, 10];
     print_header(
-        &["benchmark", "app", "input", "threads", "items", "spread(min/med/max)", "THRESHOLD"],
+        &[
+            "benchmark",
+            "app",
+            "input",
+            "threads",
+            "items",
+            "spread(min/med/max)",
+            "THRESHOLD",
+        ],
         &widths,
     );
     for b in opts.suite() {

@@ -104,9 +104,7 @@ pub fn run_scheme_job(bench: &Benchmark, cfg: &GpuConfig, job: SchemeJob) -> Sim
     match job {
         SchemeJob::Flat => bench.run_flat(cfg),
         SchemeJob::Baseline => bench.run(cfg, Box::new(BaselineDp::new())),
-        SchemeJob::Threshold(t) => {
-            bench.run(cfg, Box::new(dynapar_core::FixedThreshold::new(t)))
-        }
+        SchemeJob::Threshold(t) => bench.run(cfg, Box::new(dynapar_core::FixedThreshold::new(t))),
         SchemeJob::Spawn => bench.run(cfg, Box::new(SpawnPolicy::from_config(cfg))),
     }
 }
@@ -161,8 +159,10 @@ pub fn run_suite_schemes(benches: &[Benchmark], cfg: &GpuConfig, jobs: usize) ->
         .enumerate()
         .flat_map(|(bi, list)| list.iter().map(move |&j| (bi, j)))
         .collect();
-    let mut reports: Vec<std::collections::VecDeque<SimReport>> =
-        benches.iter().map(|_| std::collections::VecDeque::new()).collect();
+    let mut reports: Vec<std::collections::VecDeque<SimReport>> = benches
+        .iter()
+        .map(|_| std::collections::VecDeque::new())
+        .collect();
     for ((bi, _), report) in flat_jobs
         .iter()
         .zip(par_map(flat_jobs.clone(), jobs, |(bi, job)| {
@@ -470,7 +470,15 @@ mod tests {
     #[test]
     fn parse_consumes_shared_flags_and_returns_leftovers() {
         let (o, rest) = Options::parse(v(&[
-            "--bench", "SSSP-road", "--scale", "tiny", "--jobs", "3", "--out", "x.svg", "--seed",
+            "--bench",
+            "SSSP-road",
+            "--scale",
+            "tiny",
+            "--jobs",
+            "3",
+            "--out",
+            "x.svg",
+            "--seed",
             "9",
         ]))
         .expect("valid");

@@ -22,7 +22,9 @@ const PALETTE: [&str; 6] = [
 ];
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// A grouped bar chart: one group per category, one bar per series.

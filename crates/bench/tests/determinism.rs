@@ -29,7 +29,13 @@ fn artifact_jsons_at(jobs: usize, level: MetricsLevel) -> Vec<String> {
     // AMR is the deepest-nesting workload in the suite; the extra DTBL
     // pass on BFS exercises the aggregated-launch path (child naming,
     // agg-kernel bookkeeping), which plain SPAWN runs never take.
-    let names = vec!["GC-citation", "MM-small", "BFS-graph500", "AMR", "BFS-graph500/dtbl"];
+    let names = vec![
+        "GC-citation",
+        "MM-small",
+        "BFS-graph500",
+        "AMR",
+        "BFS-graph500/dtbl",
+    ];
     par_map(names, jobs, |name| {
         let (bench_name, dtbl) = match name.strip_suffix("/dtbl") {
             Some(base) => (base, true),
@@ -146,7 +152,11 @@ fn jobs_eight_matches_jobs_one() {
         let serial = run_schemes(&bench, &cfg, 1);
         let parallel = run_schemes(&bench, &cfg, 8);
         assert_eq!(serial.name, parallel.name);
-        assert_eq!(canonical(&serial.flat), canonical(&parallel.flat), "{name} flat");
+        assert_eq!(
+            canonical(&serial.flat),
+            canonical(&parallel.flat),
+            "{name} flat"
+        );
         assert_eq!(
             canonical(&serial.baseline),
             canonical(&parallel.baseline),

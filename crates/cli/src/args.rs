@@ -242,11 +242,7 @@ SERVER:    `serve` starts the line-JSON v1 daemon (docs/SERVER.md);
            fields, then the first divergent byte of the binary state
 ";
 
-fn take_value<'a>(
-    args: &'a [String],
-    i: &mut usize,
-    flag: &str,
-) -> Result<&'a str, String> {
+fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
     *i += 1;
     args.get(*i)
         .map(String::as_str)
@@ -312,9 +308,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--bench" => bench = Some(take_value(args, &mut i, "--bench")?.to_string()),
             "--spec" => spec = Some(take_value(args, &mut i, "--spec")?.to_string()),
-            "--policy" => {
-                policy = Some(PolicySpec::parse(take_value(args, &mut i, "--policy")?)?)
-            }
+            "--policy" => policy = Some(PolicySpec::parse(take_value(args, &mut i, "--policy")?)?),
             "--trace" => {
                 trace = Some(
                     take_value(args, &mut i, "--trace")?
@@ -406,7 +400,11 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         i += 1;
     }
 
-    let need_bench = || bench.clone().ok_or_else(|| "--bench is required".to_string());
+    let need_bench = || {
+        bench
+            .clone()
+            .ok_or_else(|| "--bench is required".to_string())
+    };
     let need_addr = || addr.clone().ok_or_else(|| "--addr is required".to_string());
     let need_workload = |bench: &Option<String>, spec: &Option<String>| match (bench, spec) {
         (Some(_), Some(_)) => Err("pass --bench or --spec, not both".to_string()),
@@ -621,11 +619,19 @@ mod tests {
     #[test]
     fn serve_store_max_bytes_flag() {
         let cli = parse(&v(&[
-            "serve", "--store", "/tmp/s", "--store-max-bytes", "4096",
+            "serve",
+            "--store",
+            "/tmp/s",
+            "--store-max-bytes",
+            "4096",
         ]))
         .expect("valid");
         match cli.command {
-            Command::Serve { store, store_max_bytes, .. } => {
+            Command::Serve {
+                store,
+                store_max_bytes,
+                ..
+            } => {
                 assert_eq!(store.as_deref(), Some("/tmp/s"));
                 assert_eq!(store_max_bytes, Some(4096));
             }
@@ -633,13 +639,29 @@ mod tests {
         }
         let cli = parse(&v(&["serve", "--store", "/tmp/s"])).expect("valid");
         match cli.command {
-            Command::Serve { store_max_bytes, .. } => assert_eq!(store_max_bytes, None),
+            Command::Serve {
+                store_max_bytes, ..
+            } => assert_eq!(store_max_bytes, None),
             other => panic!("wrong command {other:?}"),
         }
         // The cap only means something with a store to cap.
         assert!(parse(&v(&["serve", "--store-max-bytes", "4096"])).is_err());
-        assert!(parse(&v(&["serve", "--store", "/tmp/s", "--store-max-bytes", "0"])).is_err());
-        assert!(parse(&v(&["serve", "--store", "/tmp/s", "--store-max-bytes", "x"])).is_err());
+        assert!(parse(&v(&[
+            "serve",
+            "--store",
+            "/tmp/s",
+            "--store-max-bytes",
+            "0"
+        ]))
+        .is_err());
+        assert!(parse(&v(&[
+            "serve",
+            "--store",
+            "/tmp/s",
+            "--store-max-bytes",
+            "x"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -695,8 +717,14 @@ mod tests {
                 fork_warmup: None,
             }
         );
-        parse(&v(&["sweep", "--spec", "ramp.spec", "--fork-warmup", "2000"]))
-            .expect("spec sweeps are valid");
+        parse(&v(&[
+            "sweep",
+            "--spec",
+            "ramp.spec",
+            "--fork-warmup",
+            "2000",
+        ]))
+        .expect("spec sweeps are valid");
         parse(&v(&["sweep", "--points", "3"])).expect_err("workload is required");
         let cli = parse(&v(&["compare", "--bench", "Mandel"])).expect("valid");
         assert_eq!(
@@ -721,7 +749,8 @@ mod tests {
 
     #[test]
     fn levels_subcommand() {
-        let cli = parse(&v(&["levels", "--input", "graph500", "--policy", "spawn"])).expect("valid");
+        let cli =
+            parse(&v(&["levels", "--input", "graph500", "--policy", "spawn"])).expect("valid");
         assert_eq!(
             cli.command,
             Command::Levels {
@@ -748,7 +777,13 @@ mod tests {
     #[test]
     fn artifact_flags() {
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "flat", "--emit-json", "out.json",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--emit-json",
+            "out.json",
         ]))
         .expect("valid");
         match cli.command {
@@ -761,22 +796,43 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "flat", "--metrics", "summary",
-            "--emit-json", "out.json",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--metrics",
+            "summary",
+            "--emit-json",
+            "out.json",
         ]))
         .expect("valid");
         match cli.command {
             Command::Run { metrics, .. } => assert_eq!(metrics, MetricsLevel::Summary),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&v(&["run", "--bench", "AMR", "--policy", "flat", "--metrics", "loud"]))
-            .is_err());
+        assert!(parse(&v(&[
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--metrics",
+            "loud"
+        ]))
+        .is_err());
     }
 
     #[test]
     fn metrics_errors_list_valid_values_and_accept_any_case() {
         let err = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "flat", "--metrics", "loud",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--metrics",
+            "loud",
         ]))
         .unwrap_err();
         assert!(
@@ -784,7 +840,13 @@ mod tests {
             "error must list the valid values: {err}"
         );
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "flat", "--metrics", "TimeSeries",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--metrics",
+            "TimeSeries",
         ]))
         .expect("case-insensitive");
         match cli.command {
@@ -796,7 +858,13 @@ mod tests {
     #[test]
     fn timeline_flags() {
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--emit-timeline", "t.json",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "spawn",
+            "--emit-timeline",
+            "t.json",
         ]))
         .expect("valid");
         match cli.command {
@@ -812,8 +880,15 @@ mod tests {
         }
         // An explicit --trace wins over the implied default.
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--emit-timeline", "t.json",
-            "--trace", "64",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "spawn",
+            "--emit-timeline",
+            "t.json",
+            "--trace",
+            "64",
         ]))
         .expect("valid");
         match cli.command {
@@ -845,8 +920,15 @@ mod tests {
     #[test]
     fn csv_flags() {
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "flat", "--timeline-csv", "t.csv",
-            "--kernels-csv", "k.csv",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "flat",
+            "--timeline-csv",
+            "t.csv",
+            "--kernels-csv",
+            "k.csv",
         ]))
         .expect("valid");
         match cli.command {
@@ -879,8 +961,15 @@ mod tests {
             }
         );
         let cli = parse(&v(&[
-            "serve", "--listen", "127.0.0.1:7070", "--workers", "4", "--port-file", "p.txt",
-            "--store", "cache/",
+            "serve",
+            "--listen",
+            "127.0.0.1:7070",
+            "--workers",
+            "4",
+            "--port-file",
+            "p.txt",
+            "--store",
+            "cache/",
         ]))
         .expect("valid");
         assert_eq!(
@@ -902,7 +991,13 @@ mod tests {
     #[test]
     fn serve_observability_flags() {
         let cli = parse(&v(&[
-            "serve", "--log-file", "d.log", "--log-level", "debug", "--trace-out", "t.json",
+            "serve",
+            "--log-file",
+            "d.log",
+            "--log-level",
+            "debug",
+            "--trace-out",
+            "t.json",
         ]))
         .expect("valid");
         match cli.command {
@@ -936,8 +1031,15 @@ mod tests {
     #[test]
     fn snapshot_flags() {
         let cli = parse(&v(&[
-            "run", "--bench", "AMR", "--policy", "spawn", "--snapshot-at", "5000",
-            "--snapshot-out", "s.snap",
+            "run",
+            "--bench",
+            "AMR",
+            "--policy",
+            "spawn",
+            "--snapshot-at",
+            "5000",
+            "--snapshot-out",
+            "s.snap",
         ]))
         .expect("valid");
         match cli.command {
@@ -963,11 +1065,36 @@ mod tests {
         }
         // Invalid combinations are rejected with a reason.
         for bad in [
-            &["run", "--bench", "AMR", "--policy", "spawn", "--snapshot-at", "5"][..],
-            &["run", "--bench", "AMR", "--policy", "spawn", "--snapshot-out", "f"][..],
             &[
-                "run", "--bench", "AMR", "--policy", "spawn", "--resume", "f",
-                "--snapshot-at", "5", "--snapshot-out", "g",
+                "run",
+                "--bench",
+                "AMR",
+                "--policy",
+                "spawn",
+                "--snapshot-at",
+                "5",
+            ][..],
+            &[
+                "run",
+                "--bench",
+                "AMR",
+                "--policy",
+                "spawn",
+                "--snapshot-out",
+                "f",
+            ][..],
+            &[
+                "run",
+                "--bench",
+                "AMR",
+                "--policy",
+                "spawn",
+                "--resume",
+                "f",
+                "--snapshot-at",
+                "5",
+                "--snapshot-out",
+                "g",
             ][..],
             &[
                 "run", "--bench", "AMR", "--policy", "spawn", "--resume", "f", "--trace", "10",
@@ -977,7 +1104,11 @@ mod tests {
         }
         // Sweep grows the fork point.
         let cli = parse(&v(&[
-            "sweep", "--bench", "Mandel", "--fork-warmup", "40000",
+            "sweep",
+            "--bench",
+            "Mandel",
+            "--fork-warmup",
+            "40000",
         ]))
         .expect("valid");
         match cli.command {
@@ -989,7 +1120,13 @@ mod tests {
     #[test]
     fn submit_subcommand() {
         let cli = parse(&v(&[
-            "submit", "--addr", "127.0.0.1:7070", "--bench", "AMR", "--policy", "spawn",
+            "submit",
+            "--addr",
+            "127.0.0.1:7070",
+            "--bench",
+            "AMR",
+            "--policy",
+            "spawn",
         ]))
         .expect("valid");
         assert_eq!(

@@ -29,11 +29,21 @@ fn help_prints_usage_and_succeeds() {
 fn run_executes_a_tiny_benchmark() {
     let out = dynapar()
         .args([
-            "run", "--bench", "GC-citation", "--policy", "spawn", "--scale", "tiny",
+            "run",
+            "--bench",
+            "GC-citation",
+            "--policy",
+            "spawn",
+            "--scale",
+            "tiny",
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("cycles"), "no cycle count in:\n{text}");
     assert!(text.contains("spawn"));
@@ -52,7 +62,10 @@ fn unknown_benchmark_fails_cleanly() {
 
 #[test]
 fn bad_arguments_print_usage() {
-    let out = dynapar().args(["frobnicate"]).output().expect("binary runs");
+    let out = dynapar()
+        .args(["frobnicate"])
+        .output()
+        .expect("binary runs");
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).expect("utf8");
     assert!(err.contains("USAGE"));
@@ -83,7 +96,11 @@ fn spec_subcommand_runs_a_file() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("smoke"));
     assert!(text.contains("vs flat"));

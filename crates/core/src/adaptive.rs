@@ -14,7 +14,9 @@
 //! the paper's design argues for.
 
 use dynapar_engine::Cycle;
-use dynapar_gpu::{ChildRequest, ControllerEvent, LaunchController, LaunchDecision, MetricsRegistry};
+use dynapar_gpu::{
+    ChildRequest, ControllerEvent, LaunchController, LaunchDecision, MetricsRegistry,
+};
 
 /// Hill-climbing state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

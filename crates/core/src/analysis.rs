@@ -52,7 +52,10 @@ impl LaunchAnalysis {
             depth += delta;
             peak = peak.max(depth);
             match points.last_mut() {
-                Some(QueuePoint { at: last, in_flight }) if *last == at => {
+                Some(QueuePoint {
+                    at: last,
+                    in_flight,
+                }) if *last == at => {
                     *in_flight = depth as u64;
                 }
                 _ => points.push(QueuePoint {
@@ -179,13 +182,16 @@ mod tests {
     fn depth_queries_are_consistent_with_the_curve() {
         let r = report_with_children();
         let a = LaunchAnalysis::of(&r);
-        assert_eq!(a.depth_at(0), a.points().first().map_or(0, |p| {
-            if p.at == 0 {
-                p.in_flight
-            } else {
-                0
-            }
-        }));
+        assert_eq!(
+            a.depth_at(0),
+            a.points().first().map_or(0, |p| {
+                if p.at == 0 {
+                    p.in_flight
+                } else {
+                    0
+                }
+            })
+        );
         for w in a.points().windows(2) {
             let mid = (w[0].at + w[1].at) / 2;
             assert_eq!(a.depth_at(mid), w[0].in_flight);

@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(q.n_con(), 0, "no completed window before cycle 1024");
 
         q.advance(Cycle(1024)); // window edge: the shift happens here
-        // 1*256 + 2*512 + 3*256 = 2048; 2048 >> 10 = 2.
+                                // 1*256 + 2*512 + 3*256 = 2048; 2048 >> 10 = 2.
         assert_eq!(q.n_con(), 2);
         assert_eq!(q.in_system(), 3, "advance never perturbs `n`");
     }
@@ -291,8 +291,8 @@ mod tests {
         assert_eq!(q.t_warp(), 300, "open window reads the all-time mean");
 
         q.on_warp_finish(Cycle(1024), 1_000); // first sample of window 1
-        // Recording at 1024 closed window 0: its mean (300) is now the
-        // reported value, and the 1_000 sample does not leak into it.
+                                              // Recording at 1024 closed window 0: its mean (300) is now the
+                                              // reported value, and the 1_000 sample does not leak into it.
         assert_eq!(q.t_warp(), 300);
 
         q.advance(Cycle(2048)); // window 1 closes

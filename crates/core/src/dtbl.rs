@@ -10,7 +10,9 @@
 //! bottlenecked by the concurrent-CTA limit still queue.
 
 use dynapar_engine::stats::RunningMean;
-use dynapar_gpu::{ChildRequest, ControllerEvent, LaunchController, LaunchDecision, MetricsRegistry};
+use dynapar_gpu::{
+    ChildRequest, ControllerEvent, LaunchController, LaunchDecision, MetricsRegistry,
+};
 
 /// The DTBL launch policy: aggregate every candidate above the
 /// application's own `THRESHOLD` (like Baseline-DP, but through the

@@ -106,7 +106,9 @@ mod tests {
         p.export_metrics(&mut reg);
         let json = reg.to_json();
         assert_eq!(
-            json.get("policy.free_launch.redistributed").unwrap().as_u64(),
+            json.get("policy.free_launch.redistributed")
+                .unwrap()
+                .as_u64(),
             Some(1)
         );
         assert_eq!(

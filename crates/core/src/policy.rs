@@ -155,7 +155,10 @@ mod tests {
             );
         }
         // The alias normalizes to the canonical spelling.
-        assert_eq!(PolicySpec::parse("freelaunch").unwrap().label(), "free-launch");
+        assert_eq!(
+            PolicySpec::parse("freelaunch").unwrap().label(),
+            "free-launch"
+        );
         assert!(PolicySpec::parse("threshold:x").is_err());
         assert!(PolicySpec::parse("nope").is_err());
     }

@@ -206,7 +206,9 @@ impl LaunchController for SpawnPolicy {
             0
         };
         let n_con = self.ccqs.n_con().max(1);
-        let t_overhead = self.overhead.kernel_latency(req.warp_prior_launches as u64 + 1);
+        let t_overhead = self
+            .overhead
+            .kernel_latency(req.warp_prior_launches as u64 + 1);
         // Saturating: no real run comes near u64::MAX cycles, but a
         // replayed snapshot log must not be able to overflow either.
         let t_child = t_overhead.saturating_add((x + n).saturating_mul(t_cta) / n_con);
@@ -276,12 +278,18 @@ impl LaunchController for SpawnPolicy {
     }
 
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("policy.spawn.bootstrap_launches", self.stats.bootstrap_launches);
+        reg.counter(
+            "policy.spawn.bootstrap_launches",
+            self.stats.bootstrap_launches,
+        );
         reg.counter("policy.spawn.modeled_launches", self.stats.modeled_launches);
         reg.counter("policy.spawn.inlined", self.stats.inlined);
         reg.counter("policy.spawn.queue_rejections", self.stats.queue_rejections);
         reg.counter("policy.spawn.ccqs.in_system", self.ccqs.in_system());
-        reg.counter("policy.spawn.ccqs.peak_in_system", self.ccqs.peak_in_system());
+        reg.counter(
+            "policy.spawn.ccqs.peak_in_system",
+            self.ccqs.peak_in_system(),
+        );
         reg.counter("policy.spawn.ccqs.finished_ctas", self.ccqs.finished_ctas());
         reg.counter("policy.spawn.ccqs.t_cta", self.ccqs.t_cta());
         reg.counter("policy.spawn.ccqs.t_warp", self.ccqs.t_warp());
@@ -335,7 +343,9 @@ mod tests {
             p.decide(&request(0, 1000, 1, 0));
         }
         for i in 0..conc {
-            p.observe(&ControllerEvent::ChildCtaStart { now: Cycle(i as u64) });
+            p.observe(&ControllerEvent::ChildCtaStart {
+                now: Cycle(i as u64),
+            });
         }
         for i in 0..conc {
             p.observe(&ControllerEvent::ChildWarpFinish {
@@ -386,10 +396,16 @@ mod tests {
         let mut p = policy();
         warm(&mut p, 100, 30, 8);
         let items = 800; // t_parent = 800*30 = 24_000
-        // prior=0: t_overhead = 21931 + small queue term -> launch.
-        assert_eq!(p.decide(&request(10_000, items, 1, 0)), LaunchDecision::Kernel);
+                         // prior=0: t_overhead = 21931 + small queue term -> launch.
+        assert_eq!(
+            p.decide(&request(10_000, items, 1, 0)),
+            LaunchDecision::Kernel
+        );
         // prior=5: t_overhead = 1721*6 + 20210 = 30_536 -> inline.
-        assert_eq!(p.decide(&request(10_001, items, 1, 5)), LaunchDecision::Inline);
+        assert_eq!(
+            p.decide(&request(10_001, items, 1, 5)),
+            LaunchDecision::Inline
+        );
     }
 
     #[test]
@@ -522,11 +538,11 @@ mod decision_matrix {
         // With t_cta=400, t_warp=400, n=0, n_con=1:
         for (items, ctas, expect) in [
             // t_parent = 400*items vs t_child = 21931 + 400*ctas
-            (10u32, 1u32, LaunchDecision::Inline),   // 4k < 22.3k
-            (56, 1, LaunchDecision::Kernel),         // 22.4k just clears 22.33k
-            (100, 1, LaunchDecision::Kernel),        // 40k > 22.3k
-            (100, 64, LaunchDecision::Inline),       // 40k < 21931+25600=47.5k
-            (200, 64, LaunchDecision::Kernel),       // 80k > 47.5k
+            (10u32, 1u32, LaunchDecision::Inline), // 4k < 22.3k
+            (56, 1, LaunchDecision::Kernel),       // 22.4k just clears 22.33k
+            (100, 1, LaunchDecision::Kernel),      // 40k > 22.3k
+            (100, 64, LaunchDecision::Inline),     // 40k < 21931+25600=47.5k
+            (200, 64, LaunchDecision::Kernel),     // 80k > 47.5k
         ] {
             let mut p = policy_with(400, 400, 0);
             let got = p.decide(&request(items, ctas, 0));
@@ -600,8 +616,8 @@ mod hybrid_tests {
 
     #[test]
     fn hybrid_routes_launches_through_aggregation() {
-        let mut p = SpawnPolicy::new(LaunchOverheadModel::default(), 4, 1000)
-            .with_aggregated_launches();
+        let mut p =
+            SpawnPolicy::new(LaunchOverheadModel::default(), 4, 1000).with_aggregated_launches();
         assert_eq!(p.name(), "SPAWN+DTBL");
         // Bootstrap decision must come back as Aggregated, not Kernel.
         let req = ChildRequest {

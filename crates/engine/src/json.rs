@@ -297,7 +297,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -525,7 +529,10 @@ mod tests {
 
     #[test]
     fn integers_stay_integers() {
-        assert_eq!(Json::parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap(),
+            Json::U64(u64::MAX)
+        );
         assert_eq!(Json::parse("-3").unwrap(), Json::I64(-3));
     }
 

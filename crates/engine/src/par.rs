@@ -339,7 +339,11 @@ mod tests {
         let items: Vec<u64> = (0..97).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for jobs in [1, 2, 3, 8, 200] {
-            assert_eq!(par_map(items.clone(), jobs, |x| x * 3 + 1), expect, "jobs {jobs}");
+            assert_eq!(
+                par_map(items.clone(), jobs, |x| x * 3 + 1),
+                expect,
+                "jobs {jobs}"
+            );
         }
     }
 

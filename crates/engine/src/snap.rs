@@ -166,22 +166,30 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u128`.
     pub fn get_u128(&mut self) -> Result<u128, SnapError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
+        Ok(u128::from_le_bytes(
+            self.take(16)?.try_into().expect("16 bytes"),
+        ))
     }
 
     /// Reads a little-endian `i64`.
     pub fn get_i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -283,7 +291,10 @@ mod tests {
         let mut r = ByteReader::new(&[3]);
         assert_eq!(
             r.get_bool(),
-            Err(SnapError::BadTag { what: "bool", tag: 3 })
+            Err(SnapError::BadTag {
+                what: "bool",
+                tag: 3
+            })
         );
         let mut w = ByteWriter::new();
         w.put_u64(u64::MAX); // absurd length prefix
@@ -314,7 +325,9 @@ mod tests {
     #[test]
     fn errors_display_their_cause() {
         assert!(SnapError::Truncated.to_string().contains("truncated"));
-        assert!(SnapError::Corrupt("bad fnv".into()).to_string().contains("bad fnv"));
+        assert!(SnapError::Corrupt("bad fnv".into())
+            .to_string()
+            .contains("bad fnv"));
         assert!(SnapError::Invalid("x").to_string().contains("x"));
         assert!(SnapError::Trailing(2).to_string().contains("2"));
     }

@@ -151,8 +151,14 @@ impl LatencyHistogram {
             .map(|(i, &c)| Json::arr([Json::U64(Self::bucket_upper(i)), Json::U64(c)]));
         Json::obj([
             ("count", Json::U64(self.count)),
-            ("sum_us", Json::U64(self.sum_us.min(u64::MAX as u128) as u64)),
-            ("min_us", Json::U64(if self.count == 0 { 0 } else { self.min_us })),
+            (
+                "sum_us",
+                Json::U64(self.sum_us.min(u64::MAX as u128) as u64),
+            ),
+            (
+                "min_us",
+                Json::U64(if self.count == 0 { 0 } else { self.min_us }),
+            ),
             ("max_us", Json::U64(self.max_us)),
             ("buckets", Json::arr(buckets)),
         ])

@@ -94,7 +94,6 @@ impl Bucket {
             max: self.max.max(other.max),
         }
     }
-
 }
 
 /// A bounded-memory windowed series; see the [module docs](self).

@@ -227,8 +227,10 @@ impl<E> TimingWheel<E> {
             let idx = level * SLOTS + slot;
             // Swap the full bucket out against the recycled cascade
             // buffer (empty), so neither side's allocation is dropped.
-            let mut bucket =
-                std::mem::replace(&mut self.buckets[idx], std::mem::take(&mut self.cascade_buf));
+            let mut bucket = std::mem::replace(
+                &mut self.buckets[idx],
+                std::mem::take(&mut self.cascade_buf),
+            );
             self.occupied[level] &= !(1 << slot);
             // The lowest occupied slot of the lowest occupied level holds
             // the earliest pending entries; jump the frontier to their
@@ -244,7 +246,11 @@ impl<E> TimingWheel<E> {
         // Wheel empty: fold the overflow back in around the new frontier.
         debug_assert!(!self.overflow.is_empty(), "len > 0 with empty wheel");
         let mut spill = std::mem::replace(&mut self.overflow, std::mem::take(&mut self.spill_buf));
-        self.now = spill.iter().map(|e| e.at).min().expect("non-empty overflow");
+        self.now = spill
+            .iter()
+            .map(|e| e.at)
+            .min()
+            .expect("non-empty overflow");
         for entry in spill.drain(..) {
             self.place(entry);
         }

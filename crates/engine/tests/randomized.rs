@@ -52,7 +52,11 @@ fn event_queue_interleaved_pops_match_reference() {
             if rng.chance(0.6) || reference.is_empty() {
                 // Push at or after `now`, biased toward `now` itself so
                 // same-cycle bursts are common.
-                let at = if rng.chance(0.5) { now } else { now + rng.below(50) };
+                let at = if rng.chance(0.5) {
+                    now
+                } else {
+                    now + rng.below(50)
+                };
                 q.push(Cycle(at), seq);
                 reference.push((at, seq));
                 seq += 1;
@@ -144,7 +148,11 @@ fn cdf_quantiles_match_sorted_order() {
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         assert_eq!(c.quantile(0.0), Some(sorted[0]), "case {case}");
-        assert_eq!(c.quantile(1.0), Some(*sorted.last().unwrap()), "case {case}");
+        assert_eq!(
+            c.quantile(1.0),
+            Some(*sorted.last().unwrap()),
+            "case {case}"
+        );
         // Cumulative count at any x equals the sorted-vector prefix count.
         for &x in &[0u64, 250, 500, 999] {
             let expect = sorted.partition_point(|&v| v <= x) as u64;

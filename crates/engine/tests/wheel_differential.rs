@@ -53,7 +53,11 @@ fn wheel_matches_heap_near_horizon() {
     // The simulator's dominant pattern: short deltas with heavy
     // same-cycle bursts (delta 0 with probability ~1/2).
     for case in 0..CASES {
-        run_case(case, 600, |rng| if rng.chance(0.5) { 0 } else { rng.below(50) });
+        run_case(
+            case,
+            600,
+            |rng| if rng.chance(0.5) { 0 } else { rng.below(50) },
+        );
     }
 }
 

@@ -82,10 +82,7 @@ impl CcqsSample {
         Json::obj([
             ("kernel", Json::U64(self.kernel as u64)),
             ("estimate", Json::U64(self.estimate)),
-            (
-                "actual",
-                self.actual.map_or(Json::Null, Json::U64),
-            ),
+            ("actual", self.actual.map_or(Json::Null, Json::U64)),
         ])
     }
 }

@@ -2,9 +2,9 @@
 //! canonical run identity ([`CanonicalConfig`]) every config-keyed
 //! subsystem derives from.
 
+use dynapar_engine::fnv1a_64;
 use dynapar_engine::json::Json;
 use dynapar_engine::metrics::MetricsLevel;
-use dynapar_engine::fnv1a_64;
 
 /// Warp scheduling discipline within an SMX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -344,7 +344,10 @@ impl GpuConfig {
         if !m.l1_bytes.is_multiple_of(m.line_bytes * m.l1_ways) {
             return Err("L1 size must be divisible by line_bytes * ways".into());
         }
-        if !m.l2_partition_bytes.is_multiple_of(m.line_bytes * m.l2_ways) {
+        if !m
+            .l2_partition_bytes
+            .is_multiple_of(m.line_bytes * m.l2_ways)
+        {
             return Err("L2 partition size must be divisible by line_bytes * ways".into());
         }
         if m.l1_mshrs == 0 {
@@ -385,11 +388,20 @@ impl GpuConfig {
             ("mlp_depth", Json::U64(self.mlp_depth as u64)),
             ("num_hwqs", Json::U64(self.num_hwqs as u64)),
             ("pending_pool_cap", Json::U64(self.pending_pool_cap as u64)),
-            ("max_nesting_depth", Json::U64(self.max_nesting_depth as u64)),
+            (
+                "max_nesting_depth",
+                Json::U64(self.max_nesting_depth as u64),
+            ),
             ("cta_dispatch_latency", Json::U64(self.cta_dispatch_latency)),
             ("scheduler", Json::str(format!("{:?}", self.scheduler))),
-            ("cta_placement", Json::str(format!("{:?}", self.cta_placement))),
-            ("stream_policy", Json::str(format!("{:?}", self.stream_policy))),
+            (
+                "cta_placement",
+                Json::str(format!("{:?}", self.cta_placement)),
+            ),
+            (
+                "stream_policy",
+                Json::str(format!("{:?}", self.stream_policy)),
+            ),
             (
                 "launch",
                 Json::obj([
@@ -426,7 +438,10 @@ impl GpuConfig {
                 ]),
             ),
             ("sample_period", Json::U64(self.sample_period)),
-            ("metric_window_log2", Json::U64(self.metric_window_log2 as u64)),
+            (
+                "metric_window_log2",
+                Json::U64(self.metric_window_log2 as u64),
+            ),
             (
                 "max_cycles",
                 if self.max_cycles == u64::MAX {
@@ -591,7 +606,10 @@ mod tests {
         assert_eq!(cfg.num_hwqs, 32);
         assert_eq!(cfg.shmem_per_smx, 48 * 1024);
         assert_eq!(cfg.regs_per_smx, 65_536);
-        assert_eq!(cfg.mem.l2_partition_bytes * cfg.mem.l2_partitions, 1536 * 1024);
+        assert_eq!(
+            cfg.mem.l2_partition_bytes * cfg.mem.l2_partitions,
+            1536 * 1024
+        );
         assert_eq!(cfg.launch.a, 1721);
         assert_eq!(cfg.launch.b, 20210);
         assert_eq!(cfg.max_concurrent_ctas(), 208);
@@ -655,7 +673,11 @@ mod tests {
             Some(20210)
         );
         assert_eq!(
-            json.get("mem").unwrap().get("l2_partitions").unwrap().as_u64(),
+            json.get("mem")
+                .unwrap()
+                .get("l2_partitions")
+                .unwrap()
+                .as_u64(),
             Some(12)
         );
         let text = json.to_string();

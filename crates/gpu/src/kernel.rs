@@ -234,7 +234,9 @@ impl SpecTable {
             let nested = get_opt_u32(r)?;
             if let Some(nid) = nested {
                 if nid as usize >= i {
-                    return Err(SnapError::Invalid("DP entry references a forward nested id"));
+                    return Err(SnapError::Invalid(
+                        "DP entry references a forward nested id",
+                    ));
                 }
             }
             let params = DpParams {
@@ -434,7 +436,12 @@ impl KernelRt {
             0 => KernelKind::Host,
             1 => KernelKind::Child,
             2 => KernelKind::Aggregated,
-            tag => return Err(SnapError::BadTag { what: "KernelKind", tag }),
+            tag => {
+                return Err(SnapError::BadTag {
+                    what: "KernelKind",
+                    tag,
+                })
+            }
         };
         let parent = get_opt_u32(r)?.map(KernelId);
         let depth = r.get_u8()?;
@@ -462,7 +469,12 @@ impl KernelRt {
                 }
                 CtaDirectory::Aggregated { entries }
             }
-            tag => return Err(SnapError::BadTag { what: "CtaDirectory", tag }),
+            tag => {
+                return Err(SnapError::BadTag {
+                    what: "CtaDirectory",
+                    tag,
+                })
+            }
         };
         let grid_ctas = r.get_u32()?;
         let dispatchable_ctas = r.get_u32()?;
@@ -670,7 +682,15 @@ mod tests {
         assert_eq!(&**back.agg_name(id), "c-agg");
         // The rebuilt spec graph is structurally whole: nested entries
         // still reference a live Arc'd grandchild spec.
-        assert_eq!(back.dps[id.0 as usize].spec.nested.as_ref().unwrap().min_items, 4);
+        assert_eq!(
+            back.dps[id.0 as usize]
+                .spec
+                .nested
+                .as_ref()
+                .unwrap()
+                .min_items,
+            4
+        );
     }
 
     #[test]
@@ -747,8 +767,16 @@ mod tests {
         k.kind = KernelKind::Aggregated;
         k.dir = CtaDirectory::Aggregated {
             entries: vec![
-                AggCta { source: mk_source(40), local_cta: 0, child_threads: 40 },
-                AggCta { source: mk_source(40), local_cta: 1, child_threads: 40 },
+                AggCta {
+                    source: mk_source(40),
+                    local_cta: 0,
+                    child_threads: 40,
+                },
+                AggCta {
+                    source: mk_source(40),
+                    local_cta: 1,
+                    child_threads: 40,
+                },
             ],
         };
         k.grid_ctas = 2;

@@ -89,8 +89,8 @@ pub mod mem;
 pub mod perfetto;
 mod profile;
 mod sim;
-pub mod snap;
 mod smx;
+pub mod snap;
 mod stats;
 mod telemetry;
 pub mod trace;
@@ -98,17 +98,16 @@ pub mod work;
 
 pub use artifact::{ArtifactError, CcqsSample, RunArtifact, RunOutcome, ARTIFACT_SCHEMA};
 pub use config::{
-    canonical_json_hash, CanonicalConfig, CtaPlacement, GpuConfig, LaunchOverheadModel,
-    MemConfig, SchedulerKind, StreamPolicy, CANONICAL_CONFIG_SCHEMA,
+    canonical_json_hash, CanonicalConfig, CtaPlacement, GpuConfig, LaunchOverheadModel, MemConfig,
+    SchedulerKind, StreamPolicy, CANONICAL_CONFIG_SCHEMA,
 };
 pub use controller::{
-    ChildRequest, ControllerEvent, InlineAll, LaunchController, LaunchDecision,
-    MonitoredMetrics,
+    ChildRequest, ControllerEvent, InlineAll, LaunchController, LaunchDecision, MonitoredMetrics,
 };
 pub use dynapar_engine::json::Json;
 pub use dynapar_engine::metrics::{MetricsLevel, MetricsRegistry};
-pub use ids::{CtaKey, HwqId, KernelId, SmxId, StreamId};
 pub use dynapar_engine::snap::SnapError;
+pub use ids::{CtaKey, HwqId, KernelId, SmxId, StreamId};
 pub use sim::{SimWindow, Simulation, SimulationBuilder, WatchHook, WatchSample};
 pub use snap::{
     diff_snapshots, parse_snapshot, snapshot_is_pristine, write_snapshot, SNAPSHOT_SCHEMA,

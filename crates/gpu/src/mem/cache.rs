@@ -108,11 +108,16 @@ impl Cache {
 
     #[inline]
     fn probe_fill_n<const W: usize>(&mut self, line: u64) -> bool {
-        debug_assert_ne!(line, INVALID_TAG, "line id collides with the invalid sentinel");
+        debug_assert_ne!(
+            line, INVALID_TAG,
+            "line id collides with the invalid sentinel"
+        );
         self.tick += 1;
         self.accesses += 1;
         let base = self.set_of(line) * W;
-        let set: &mut [Way; W] = (&mut self.lines[base..base + W]).try_into().expect("set width");
+        let set: &mut [Way; W] = (&mut self.lines[base..base + W])
+            .try_into()
+            .expect("set width");
         let mut victim = 0;
         let mut victim_stamp = u64::MAX;
         for (w, way) in set.iter_mut().enumerate() {
@@ -134,7 +139,10 @@ impl Cache {
     }
 
     fn probe_fill_dyn(&mut self, line: u64) -> bool {
-        debug_assert_ne!(line, INVALID_TAG, "line id collides with the invalid sentinel");
+        debug_assert_ne!(
+            line, INVALID_TAG,
+            "line id collides with the invalid sentinel"
+        );
         self.tick += 1;
         self.accesses += 1;
         let base = self.set_of(line) * self.ways;
@@ -162,7 +170,9 @@ impl Cache {
     /// Probes without filling (used for diagnostics/tests).
     pub fn contains(&self, line: u64) -> bool {
         let base = self.set_of(line) * self.ways;
-        self.lines[base..base + self.ways].iter().any(|w| w.tag == line)
+        self.lines[base..base + self.ways]
+            .iter()
+            .any(|w| w.tag == line)
     }
 
     /// Total probes so far.
@@ -311,8 +321,8 @@ mod tests {
     #[test]
     fn working_set_larger_than_capacity_thrashes() {
         let mut c = Cache::new(4, 2); // 8 lines
-        // Stream 16 distinct lines twice: second pass must still miss
-        // (LRU with a circular working set 2x capacity keeps zero reuse).
+                                      // Stream 16 distinct lines twice: second pass must still miss
+                                      // (LRU with a circular working set 2x capacity keeps zero reuse).
         for pass in 0..2 {
             for l in 0..16u64 {
                 let hit = c.probe_fill(l);

@@ -183,7 +183,7 @@ mod tests {
     fn different_row_same_bank_misses() {
         let mut c = ch();
         c.access(Cycle(0), 0); // row 0, bank 0
-        // Row 4 also maps to bank 0 (4 % 4 == 0) and closes row 0.
+                               // Row 4 also maps to bank 0 (4 % 4 == 0) and closes row 0.
         let done = c.access(Cycle(1000), 4 * 16);
         assert_eq!(done, Cycle(1250));
         let done = c.access(Cycle(2000), 0); // row 0 again: miss
@@ -195,7 +195,7 @@ mod tests {
         let mut c = ch();
         let d1 = c.access(Cycle(0), 0);
         let d2 = c.access(Cycle(0), 16); // different bank, same instant
-        // Second must start 4 cycles later regardless of bank.
+                                         // Second must start 4 cycles later regardless of bank.
         assert!(d2 >= d1.saturating_sub(Cycle(250)) + Cycle(4 + 250));
         assert_eq!(d2, Cycle(4 + 250));
     }

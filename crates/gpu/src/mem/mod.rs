@@ -303,7 +303,13 @@ impl MemSystem {
 
     /// One L1 miss: allocate an MSHR (stalling if the core's set is
     /// full), then cross the interconnect to the home L2 partition.
-    fn miss_line(&mut self, now: Cycle, mshrs: &mut MshrSet, line: u64, prof: &mut Profiler) -> Cycle {
+    fn miss_line(
+        &mut self,
+        now: Cycle,
+        mshrs: &mut MshrSet,
+        line: u64,
+        prof: &mut Profiler,
+    ) -> Cycle {
         self.stats.l2_accesses += 1;
         let issue = mshrs.admit(now, self.cfg.l1_mshrs as usize);
         if issue > now {
@@ -479,7 +485,10 @@ mod tests {
         let mut l1b = SmxL1::new(&small_cfg());
         m3.warp_read(Cycle(0), &mut l1a, &[3], &mut np());
         let l2_done = m3.warp_read(Cycle(100_000), &mut l1b, &[3], &mut np()) - Cycle(100_000);
-        assert!(l2_done < dram_done - Cycle(0), "L2 {l2_done:?} vs DRAM {dram_done:?}");
+        assert!(
+            l2_done < dram_done - Cycle(0),
+            "L2 {l2_done:?} vs DRAM {dram_done:?}"
+        );
     }
 
     #[test]

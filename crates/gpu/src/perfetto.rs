@@ -38,10 +38,7 @@ pub fn meta(pid: u64, tid: Option<u64>, kind: &str, name: &str) -> Json {
     if let Some(tid) = tid {
         members.push(("tid", Json::U64(tid)));
     }
-    members.push((
-        "args",
-        Json::obj([("name", Json::str(name))]),
-    ));
+    members.push(("args", Json::obj([("name", Json::str(name))])));
     Json::obj(members)
 }
 
@@ -125,7 +122,12 @@ pub fn timeline_json(trace: &Trace) -> Json {
         ));
     }
     for &id in smxs.keys() {
-        events.push(meta(PID_SMXS, Some(id), "thread_name", &format!("SMX {id}")));
+        events.push(meta(
+            PID_SMXS,
+            Some(id),
+            "thread_name",
+            &format!("SMX {id}"),
+        ));
     }
 
     for (&id, span) in &kernels {
@@ -135,10 +137,7 @@ pub fn timeline_json(trace: &Trace) -> Json {
             continue;
         };
         let until = span.completed.unwrap_or(end);
-        let mut args = vec![(
-            "completed",
-            Json::Bool(span.completed.is_some()),
-        )];
+        let mut args = vec![("completed", Json::Bool(span.completed.is_some()))];
         if let Some(p) = span.parent {
             args.push(("parent", Json::U64(p)));
         }
@@ -278,7 +277,10 @@ mod tests {
         let k1 = find(events, "X", "kernel 1").expect("kernel 1 span");
         assert_eq!(k1.get("ts").unwrap().as_u64(), Some(40));
         assert_eq!(k1.get("dur").unwrap().as_u64(), Some(160));
-        assert_eq!(k1.get("args").unwrap().get("parent").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            k1.get("args").unwrap().get("parent").unwrap().as_u64(),
+            Some(0)
+        );
         // Two queued sub-spans, one per arrived kernel.
         let queued: Vec<_> = events
             .iter()
@@ -302,7 +304,10 @@ mod tests {
             .filter_map(|e| e.get("args")?.get("name")?.as_str())
             .collect();
         for expected in ["Kernels", "SMXs", "kernel 0", "kernel 1", "SMX 3"] {
-            assert!(names.contains(&expected), "missing metadata name {expected}");
+            assert!(
+                names.contains(&expected),
+                "missing metadata name {expected}"
+            );
         }
     }
 

@@ -28,14 +28,14 @@ use crate::ids::{KernelId, SmxId, StreamId};
 use crate::kernel::{AggCta, CtaDirectory, DpParams, KernelKind, KernelRt, SpecTable};
 use crate::mem::{coalesce_lines_parts, MemSystem};
 use crate::profile as ph;
-use crate::snap::{get_opt_cycle, put_opt_cycle};
 use crate::smx::{CtaRt, Smx, WarpRt};
+use crate::snap::{get_opt_cycle, put_opt_cycle};
 use crate::stats::{KernelRole, KernelSummary, SimReport, TimelineSample};
 use crate::telemetry::SimSeries;
 use crate::trace::{Trace, TraceEvent};
-use crate::work::{KernelDesc, ThreadSource, ThreadWork};
 #[cfg(test)]
 use crate::work::DpSpec;
+use crate::work::{KernelDesc, ThreadSource, ThreadWork};
 
 /// Simulator events.
 #[derive(Debug, Clone, Copy)]
@@ -156,7 +156,12 @@ fn get_decision(r: &mut ByteReader<'_>) -> Result<LaunchDecision, SnapError> {
         1 => LaunchDecision::Aggregated,
         2 => LaunchDecision::Redistribute,
         3 => LaunchDecision::Inline,
-        tag => return Err(SnapError::BadTag { what: "LaunchDecision", tag }),
+        tag => {
+            return Err(SnapError::BadTag {
+                what: "LaunchDecision",
+                tag,
+            })
+        }
     })
 }
 
@@ -227,9 +232,19 @@ fn get_replay(r: &mut ByteReader<'_>) -> Result<ReplayEntry, SnapError> {
                 now: Cycle(r.get_u64()?),
                 exec_cycles: r.get_u64()?,
             },
-            tag => return Err(SnapError::BadTag { what: "ControllerEvent", tag }),
+            tag => {
+                return Err(SnapError::BadTag {
+                    what: "ControllerEvent",
+                    tag,
+                })
+            }
         }),
-        tag => return Err(SnapError::BadTag { what: "ReplayEntry", tag }),
+        tag => {
+            return Err(SnapError::BadTag {
+                what: "ReplayEntry",
+                tag,
+            })
+        }
     })
 }
 
@@ -811,7 +826,9 @@ impl Simulation {
                     self.replay = None;
                 }
             }
-            let Some((t, ev)) = self.events.pop() else { break };
+            let Some((t, ev)) = self.events.pop() else {
+                break;
+            };
             assert!(
                 t.as_u64() <= self.cfg.max_cycles,
                 "simulation exceeded max_cycles={} (stall or runaway workload)",
@@ -837,7 +854,10 @@ impl Simulation {
         self.encode_state(&mut w);
         let state = w.into_bytes();
         let mut members: Vec<(&str, Json)> = vec![
-            ("cycle", Json::U64(self.snapshot_at.expect("armed").as_u64())),
+            (
+                "cycle",
+                Json::U64(self.snapshot_at.expect("armed").as_u64()),
+            ),
             ("now", Json::U64(self.now.as_u64())),
             ("controller", Json::str(self.controller.name())),
             ("metrics", Json::str(self.metrics_level.as_str())),
@@ -1049,7 +1069,9 @@ impl Simulation {
                 Ev::Dispatch | Ev::Sample => true,
             };
             if !ok {
-                return Err(SnapError::Invalid("queued event holds a dangling reference"));
+                return Err(SnapError::Invalid(
+                    "queued event holds a dangling reference",
+                ));
             }
         }
         // Safe to restore now that every entry is known to be ≥ now: the
@@ -1211,7 +1233,10 @@ impl Simulation {
         }
         k.arrived_at = Some(now);
         if let Some(t) = self.trace.as_mut() {
-            t.record(TraceEvent::KernelArrived { at: now, kernel: id });
+            t.record(TraceEvent::KernelArrived {
+                at: now,
+                kernel: id,
+            });
         }
         if let CtaDirectory::Uniform { .. } = k.dir {
             k.dispatchable_ctas = k.grid_ctas;
@@ -1529,7 +1554,8 @@ impl Simulation {
                     decision,
                 });
                 let pool_occupancy = self.gmu.pending() + self.inflight_launches;
-                if decision == LaunchDecision::Kernel && pool_occupancy >= self.cfg.pending_pool_cap {
+                if decision == LaunchDecision::Kernel && pool_occupancy >= self.cfg.pending_pool_cap
+                {
                     // The device launch API returns "fail": compute inline
                     // (the §IV-B translated-source contract).
                     decision = LaunchDecision::Inline;
@@ -1590,7 +1616,10 @@ impl Simulation {
                         k.grid_ctas += ctas;
                         self.push_global(
                             now + self.cfg.launch.dtbl_per_cta_cycles,
-                            Ev::AggArrive { kernel: agg, count: ctas },
+                            Ev::AggArrive {
+                                kernel: agg,
+                                count: ctas,
+                            },
                         );
                         self.aggregated_launches += 1;
                         self.aggregated_cta_count += ctas as u64;
@@ -1797,7 +1826,13 @@ impl Simulation {
             } else {
                 None
             };
-            (class.compute_per_item as u64, active, write_line, w.is_child_work, seq_len)
+            (
+                class.compute_per_item as u64,
+                active,
+                write_line,
+                w.is_child_work,
+                seq_len,
+            )
         };
         coalesce_lines_parts(&mut addrs, seq_len, &mut scratch, self.cfg.mem.line_bytes);
         self.prof.exit(); // coalesce
@@ -1951,7 +1986,10 @@ impl Simulation {
                 k.own_done_at = Some(now);
                 (k.kind, k.stream, k.agg_children.clone())
             };
-            self.trace(|| TraceEvent::KernelCompleted { at: now, kernel: kid });
+            self.trace(|| TraceEvent::KernelCompleted {
+                at: now,
+                kernel: kid,
+            });
             match kind {
                 KernelKind::Aggregated => self.gmu.aggregated_complete(kid),
                 _ => {
@@ -2036,8 +2074,7 @@ impl Simulation {
             hook(WatchSample {
                 now: now.as_u64(),
                 queue_depth: (self.gmu.pending() + self.inflight_launches) as f64,
-                hwq_utilization: self.gmu.concurrent_kernels() as f64
-                    / self.cfg.num_hwqs as f64,
+                hwq_utilization: self.gmu.concurrent_kernels() as f64 / self.cfg.num_hwqs as f64,
                 utilization,
                 parent_ctas: self.parent_ctas_running,
                 child_ctas: self.child_ctas_running,
@@ -2079,8 +2116,7 @@ impl Simulation {
             })
             .collect();
         let total = self.now;
-        let warp_capacity =
-            self.cfg.smx_count as u64 * self.cfg.max_warps_per_smx() as u64;
+        let warp_capacity = self.cfg.smx_count as u64 * self.cfg.max_warps_per_smx() as u64;
         let occupancy = if total == Cycle::ZERO {
             0.0
         } else {
@@ -2312,7 +2348,10 @@ mod tests {
         assert_eq!(r.child_kernels_launched, 8);
         assert_eq!(r.items_child, 8 * 500);
         assert!(r.child_ctas_executed > 0);
-        assert_eq!(r.child_ctas_executed as usize, r.child_cta_exec_cycles.len());
+        assert_eq!(
+            r.child_ctas_executed as usize,
+            r.child_cta_exec_cycles.len()
+        );
         assert_eq!(r.child_launch_cycles.len(), 8);
     }
 
@@ -2744,8 +2783,8 @@ mod more_tests {
             let mut cfg = GpuConfig::test_small();
             cfg.num_hwqs = n;
             let mut sim = Simulation::builder(cfg)
-            .controller(Box::new(LaunchAll))
-            .build();
+                .controller(Box::new(LaunchAll))
+                .build();
             sim.launch_host(kernel_with(Some(spec(8)), threads.clone()));
             sim.run().report.avg_child_queue_latency
         };
@@ -2820,7 +2859,15 @@ mod trace_tests {
         let created = trace
             .events()
             .iter()
-            .filter(|e| matches!(e, TraceEvent::KernelCreated { parent: Some(_), .. }))
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::KernelCreated {
+                        parent: Some(_),
+                        ..
+                    }
+                )
+            })
             .count() as u64;
         assert_eq!(created, report.child_kernels_launched);
         let dispatched = trace
@@ -3253,7 +3300,14 @@ mod artifact_tests {
         );
         // Component metrics from the GMU, the SMXs, and the policy.
         let metrics = json.get("metrics").expect("metrics section");
-        assert!(metrics.get("gmu.kernels_enqueued").unwrap().as_u64().unwrap() > 0);
+        assert!(
+            metrics
+                .get("gmu.kernels_enqueued")
+                .unwrap()
+                .as_u64()
+                .unwrap()
+                > 0
+        );
         assert!(metrics.get("smx.ctas_executed").is_some());
         assert_eq!(
             metrics.get("policy.decisions").unwrap().as_u64(),
@@ -3649,7 +3703,9 @@ mod snapshot_tests {
         let snap = sim.run().snapshot.unwrap();
         let job = crate::snap::parse_snapshot(&snap).unwrap().0;
         assert_eq!(
-            job.get("meta").and_then(|m| m.get("tag")).and_then(Json::as_str),
+            job.get("meta")
+                .and_then(|m| m.get("tag"))
+                .and_then(Json::as_str),
             Some("warm-42")
         );
         assert!(job.get("cycle").and_then(Json::as_u64).is_some());
@@ -3687,7 +3743,8 @@ mod snapshot_tests {
             assert!(w[0].now < w[1].now, "samples must be time-ordered");
         }
         assert!(
-            seen.iter().any(|s| s.parent_ctas > 0 || s.utilization > 0.0),
+            seen.iter()
+                .any(|s| s.parent_ctas > 0 || s.utilization > 0.0),
             "samples should observe a busy device"
         );
     }

@@ -486,7 +486,12 @@ impl Smx {
             *slot = match r.get_u8()? {
                 0 => None,
                 1 => Some(decode_cta(r)?),
-                tag => return Err(SnapError::BadTag { what: "Option<CtaRt>", tag }),
+                tag => {
+                    return Err(SnapError::BadTag {
+                        what: "Option<CtaRt>",
+                        tag,
+                    })
+                }
             };
         }
         if r.get_len()? != self.warps.len() {
@@ -496,7 +501,12 @@ impl Smx {
             *slot = match r.get_u8()? {
                 0 => None,
                 1 => Some(decode_warp(r)?),
-                tag => return Err(SnapError::BadTag { what: "Option<WarpRt>", tag }),
+                tag => {
+                    return Err(SnapError::BadTag {
+                        what: "Option<WarpRt>",
+                        tag,
+                    })
+                }
             };
         }
         let n = r.get_len()?;
@@ -874,7 +884,11 @@ mod tests {
         assert_eq!(wb.outstanding_mem, s.warp(s0).outstanding_mem);
         assert_eq!(back.cta(cta_slot).cta_stream, Some(StreamId(3)));
         assert_eq!(
-            back.cta(cta_slot).lanes.iter().map(|l| l.items).collect::<Vec<_>>(),
+            back.cta(cta_slot)
+                .lanes
+                .iter()
+                .map(|l| l.items)
+                .collect::<Vec<_>>(),
             [1, 2, 3, 4, 5]
         );
         // Scheduler state survives: both pick the same next warp, and the

@@ -65,7 +65,11 @@ pub fn parse_snapshot(bytes: &[u8]) -> Result<(Json, &[u8]), SnapError> {
         Json::parse(header).map_err(|e| SnapError::Corrupt(format!("snapshot header: {e:?}")))?;
     match json.get("schema").and_then(Json::as_str) {
         Some(SNAPSHOT_SCHEMA) => {}
-        Some(other) => return Err(SnapError::Corrupt(format!("unknown snapshot schema {other:?}"))),
+        Some(other) => {
+            return Err(SnapError::Corrupt(format!(
+                "unknown snapshot schema {other:?}"
+            )))
+        }
         None => return Err(SnapError::Invalid("snapshot header lacks a schema tag")),
     }
     let state = &bytes[nl + 1..];
@@ -161,7 +165,9 @@ pub fn diff_snapshots(a: &[u8], b: &[u8]) -> String {
         }
         if let Some(want) = header.get("state_fnv").and_then(Json::as_u64) {
             if fnv1a_64(state) != want {
-                push(&format!("{name}: corrupt: state checksum does not match header"));
+                push(&format!(
+                    "{name}: corrupt: state checksum does not match header"
+                ));
             }
         }
     }
@@ -277,13 +283,13 @@ fn state_section_at(i: usize, state: &[u8]) -> String {
         // mirror `put_ev` in sim.rs).
         let tag = state.get(pos + 8).copied();
         let payload = match tag {
-            Some(0) => 4,  // KernelArrive(kernel u32)
-            Some(1) => 8,  // AggArrive { kernel u32, count u32 }
-            Some(2) => 0,  // Dispatch
-            Some(3) => 5,  // CtaStart { smx u8, cta_slot u32 }
-            Some(4) => 1,  // SmxWork(smx u8)
-            Some(5) => 4,  // HwqRelease(kernel u32)
-            Some(6) => 0,  // Sample
+            Some(0) => 4, // KernelArrive(kernel u32)
+            Some(1) => 8, // AggArrive { kernel u32, count u32 }
+            Some(2) => 0, // Dispatch
+            Some(3) => 5, // CtaStart { smx u8, cta_slot u32 }
+            Some(4) => 1, // SmxWork(smx u8)
+            Some(5) => 4, // HwqRelease(kernel u32)
+            Some(6) => 0, // Sample
             _ => return format!("event queue entry {k} (unrecognized tag)"),
         };
         let len = 8 + 1 + payload;
@@ -337,7 +343,10 @@ pub(crate) fn get_opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, SnapErr
     match r.get_u8()? {
         0 => Ok(None),
         1 => Ok(Some(r.get_u64()?)),
-        tag => Err(SnapError::BadTag { what: "Option<u64>", tag }),
+        tag => Err(SnapError::BadTag {
+            what: "Option<u64>",
+            tag,
+        }),
     }
 }
 
@@ -355,7 +364,10 @@ pub(crate) fn get_opt_u32(r: &mut ByteReader<'_>) -> Result<Option<u32>, SnapErr
     match r.get_u8()? {
         0 => Ok(None),
         1 => Ok(Some(r.get_u32()?)),
-        tag => Err(SnapError::BadTag { what: "Option<u32>", tag }),
+        tag => Err(SnapError::BadTag {
+            what: "Option<u32>",
+            tag,
+        }),
     }
 }
 
@@ -415,7 +427,10 @@ pub(crate) fn decode_source(r: &mut ByteReader<'_>) -> Result<ThreadSource, Snap
             origin: decode_thread_work(r)?,
             items_per_thread: r.get_u32()?,
         }),
-        tag => Err(SnapError::BadTag { what: "ThreadSource", tag }),
+        tag => Err(SnapError::BadTag {
+            what: "ThreadSource",
+            tag,
+        }),
     }
 }
 
@@ -480,7 +495,10 @@ mod tests {
         // A truncated side is flagged corrupt, and the state compare
         // degrades to a prefix/length report instead of a byte diff.
         let out = diff_snapshots(&a, &a[..a.len() - 1]);
-        assert!(out.contains("B: corrupt: state is 3 bytes, header says 4"), "{out}");
+        assert!(
+            out.contains("B: corrupt: state is 3 bytes, header says 4"),
+            "{out}"
+        );
         assert!(out.contains("lengths differ (4 vs 3 bytes)"), "{out}");
 
         // An unreadable header ends the comparison with a finding, not
@@ -505,7 +523,9 @@ mod tests {
         assert!(parse_snapshot(b"no newline here").is_err());
         // Wrong schema tag.
         let other = write_snapshot(&job, &[1]);
-        let txt = String::from_utf8(other).unwrap().replace("snapshot/1", "snapshot/9");
+        let txt = String::from_utf8(other)
+            .unwrap()
+            .replace("snapshot/1", "snapshot/9");
         assert!(parse_snapshot(txt.as_bytes()).is_err());
     }
 
@@ -531,11 +551,22 @@ mod tests {
         };
         let sources = [
             ThreadSource::Explicit(
-                vec![ThreadWork::with_items(3), ThreadWork { items: 9, seq_base: 64, rand_seed: 5 }]
-                    .into(),
+                vec![
+                    ThreadWork::with_items(3),
+                    ThreadWork {
+                        items: 9,
+                        seq_base: 64,
+                        rand_seed: 5,
+                    },
+                ]
+                .into(),
             ),
             ThreadSource::Derived {
-                origin: ThreadWork { items: 100, seq_base: 4096, rand_seed: 77 },
+                origin: ThreadWork {
+                    items: 100,
+                    seq_base: 4096,
+                    rand_seed: 77,
+                },
                 items_per_thread: 4,
             },
         ];

@@ -232,8 +232,14 @@ impl SimReport {
                 "child_kernels_launched".to_string(),
                 Json::U64(self.child_kernels_launched),
             ),
-            ("launch_requests".to_string(), Json::U64(self.launch_requests)),
-            ("inlined_requests".to_string(), Json::U64(self.inlined_requests)),
+            (
+                "launch_requests".to_string(),
+                Json::U64(self.launch_requests),
+            ),
+            (
+                "inlined_requests".to_string(),
+                Json::U64(self.inlined_requests),
+            ),
             (
                 "redistributed_requests".to_string(),
                 Json::U64(self.redistributed_requests),
@@ -242,7 +248,10 @@ impl SimReport {
                 "aggregated_launches".to_string(),
                 Json::U64(self.aggregated_launches),
             ),
-            ("aggregated_ctas".to_string(), Json::U64(self.aggregated_ctas)),
+            (
+                "aggregated_ctas".to_string(),
+                Json::U64(self.aggregated_ctas),
+            ),
             (
                 "child_ctas_executed".to_string(),
                 Json::U64(self.child_ctas_executed),
@@ -274,7 +283,10 @@ impl SimReport {
                 "max_pending_kernels".to_string(),
                 Json::U64(self.max_pending_kernels as u64),
             ),
-            ("events_processed".to_string(), Json::U64(self.events_processed)),
+            (
+                "events_processed".to_string(),
+                Json::U64(self.events_processed),
+            ),
             ("events_global".to_string(), Json::U64(self.events_global)),
             ("events_local".to_string(), Json::U64(self.events_local)),
             ("dead_wakeups".to_string(), Json::U64(self.dead_wakeups)),
@@ -303,14 +315,8 @@ impl SimReport {
                                 ("parent_ctas", Json::U64(s.parent_ctas as u64)),
                                 ("child_ctas", Json::U64(s.child_ctas as u64)),
                                 ("utilization", Json::F64(s.utilization)),
-                                (
-                                    "concurrent_kernels",
-                                    Json::U64(s.concurrent_kernels as u64),
-                                ),
-                                (
-                                    "peak_smx_utilization",
-                                    Json::F64(s.peak_smx_utilization),
-                                ),
+                                ("concurrent_kernels", Json::U64(s.concurrent_kernels as u64)),
+                                ("peak_smx_utilization", Json::F64(s.peak_smx_utilization)),
                             ])
                         })
                         .collect(),
@@ -318,11 +324,21 @@ impl SimReport {
             ));
             members.push((
                 "child_cta_exec_cycles".to_string(),
-                Json::Arr(self.child_cta_exec_cycles.iter().map(|&c| Json::U64(c)).collect()),
+                Json::Arr(
+                    self.child_cta_exec_cycles
+                        .iter()
+                        .map(|&c| Json::U64(c))
+                        .collect(),
+                ),
             ));
             members.push((
                 "child_launch_cycles".to_string(),
-                Json::Arr(self.child_launch_cycles.iter().map(|&c| Json::U64(c)).collect()),
+                Json::Arr(
+                    self.child_launch_cycles
+                        .iter()
+                        .map(|&c| Json::U64(c))
+                        .collect(),
+                ),
             ));
         }
         Json::Obj(members)

@@ -178,10 +178,7 @@ impl SimSeries {
         series.extend(self.smx_occupancy.iter().map(TimeSeries::to_json));
         Json::obj([
             ("schema", Json::str(TIMESERIES_SCHEMA)),
-            (
-                "base_window_log2",
-                Json::U64(self.base_window_log2 as u64),
-            ),
+            ("base_window_log2", Json::U64(self.base_window_log2 as u64)),
             ("series", Json::Arr(series)),
         ])
     }
@@ -200,10 +197,7 @@ mod tests {
         s.decision(20, LaunchDecision::Inline);
         s.decision(30, LaunchDecision::Redistribute);
         let j = s.to_json();
-        assert_eq!(
-            j.get("schema").unwrap().as_str(),
-            Some(TIMESERIES_SCHEMA)
-        );
+        assert_eq!(j.get("schema").unwrap().as_str(), Some(TIMESERIES_SCHEMA));
         let series = j.get("series").unwrap().as_array().unwrap();
         let names: Vec<&str> = series
             .iter()

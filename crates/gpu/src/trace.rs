@@ -134,7 +134,10 @@ impl fmt::Display for TraceEvent {
                 parent,
                 items,
                 decision,
-            } => write!(f, "{at} decision parent={parent} items={items} -> {decision:?}"),
+            } => write!(
+                f,
+                "{at} decision parent={parent} items={items} -> {decision:?}"
+            ),
             TraceEvent::KernelCreated { at, kernel, parent } => match parent {
                 Some(p) => write!(f, "{at} create {kernel} parent={p}"),
                 None => write!(f, "{at} create {kernel} (host)"),

@@ -171,9 +171,7 @@ impl ThreadSource {
     /// of the last CTA).
     pub fn thread(&self, tid: u32, seq_stride: u32) -> ThreadWork {
         match self {
-            ThreadSource::Explicit(v) => {
-                v.get(tid as usize).copied().unwrap_or_default()
-            }
+            ThreadSource::Explicit(v) => v.get(tid as usize).copied().unwrap_or_default(),
             ThreadSource::Derived {
                 origin,
                 items_per_thread,
@@ -409,7 +407,9 @@ mod tests {
         assert_eq!(src.thread(1, stride).seq_base, 1000 + 3 * 8);
         assert_eq!(src.thread(4, stride).items, 0);
         // Work conservation across derived threads.
-        let total: u32 = (0..src.thread_count()).map(|t| src.thread(t, stride).items).sum();
+        let total: u32 = (0..src.thread_count())
+            .map(|t| src.thread(t, stride).items)
+            .sum();
         assert_eq!(total as u64, src.total_items());
     }
 

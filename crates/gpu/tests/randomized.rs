@@ -154,11 +154,10 @@ fn derived_source_partitions_all_items_exactly_once() {
 fn explicit_source_is_faithful() {
     for case in 0..CASES {
         let mut rng = DetRng::new(0x6e2b_0000 + case);
-        let counts: Vec<u32> = (0..1 + rng.below(99)).map(|_| rng.below(100) as u32).collect();
-        let threads: Vec<ThreadWork> = counts
-            .iter()
-            .map(|&c| ThreadWork::with_items(c))
+        let counts: Vec<u32> = (0..1 + rng.below(99))
+            .map(|_| rng.below(100) as u32)
             .collect();
+        let threads: Vec<ThreadWork> = counts.iter().map(|&c| ThreadWork::with_items(c)).collect();
         let src = ThreadSource::Explicit(threads.into());
         assert_eq!(src.thread_count() as usize, counts.len(), "case {case}");
         assert_eq!(

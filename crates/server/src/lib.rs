@@ -78,9 +78,7 @@ pub mod trace;
 
 pub use client::{Client, ResultAck, SubmitAck};
 pub use daemon::{Server, ServerConfig};
-pub use metrics::{
-    health_response, metrics_response, ClassMetrics, Gauges, Phase, ServerMetrics,
-};
+pub use metrics::{health_response, metrics_response, ClassMetrics, Gauges, Phase, ServerMetrics};
 pub use proto::{Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use registry::{
     Admission, JobHandles, JobSnapshot, JobState, Registry, RegistryStats, SampleRing,

@@ -198,7 +198,11 @@ pub fn health_response(metrics: &ServerMetrics, gauges: &Gauges) -> Json {
 /// `gauge` metrics, latencies as cumulative `histogram` metrics with
 /// power-of-two `le` edges (buckets above each class's highest occupied
 /// edge collapse into `+Inf`).
-pub fn prometheus_text(uptime_us: u64, gauges: &Gauges, classes: &[(String, ClassMetrics)]) -> String {
+pub fn prometheus_text(
+    uptime_us: u64,
+    gauges: &Gauges,
+    classes: &[(String, ClassMetrics)],
+) -> String {
     let mut out = String::new();
     let mut gauge = |name: &str, value: String| {
         out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
@@ -324,7 +328,12 @@ mod tests {
             .collect();
         assert_eq!(
             phases,
-            ["queue_wait_us", "execute_us", "end_to_end_us", "memo_lookup_us"]
+            [
+                "queue_wait_us",
+                "execute_us",
+                "end_to_end_us",
+                "memo_lookup_us"
+            ]
         );
         assert_eq!(
             spawn
@@ -335,7 +344,14 @@ mod tests {
                 .as_u64(),
             Some(1)
         );
-        assert_eq!(doc.get("gauges").unwrap().get("store_bytes").unwrap().as_u64(), Some(123));
+        assert_eq!(
+            doc.get("gauges")
+                .unwrap()
+                .get("store_bytes")
+                .unwrap()
+                .as_u64(),
+            Some(123)
+        );
     }
 
     #[test]
@@ -345,7 +361,10 @@ mod tests {
         m.record("spawn", Phase::Execute, 3); // bucket le=4
         let g = Gauges::default();
         let text = prometheus_text(0, &g, &m.snapshot());
-        assert!(text.contains("# TYPE dynapar_job_execute_us histogram"), "{text}");
+        assert!(
+            text.contains("# TYPE dynapar_job_execute_us histogram"),
+            "{text}"
+        );
         assert!(
             text.contains("dynapar_job_execute_us_bucket{class=\"spawn\",le=\"2\"} 1"),
             "{text}"
@@ -358,7 +377,10 @@ mod tests {
             text.contains("dynapar_job_execute_us_bucket{class=\"spawn\",le=\"+Inf\"} 2"),
             "{text}"
         );
-        assert!(text.contains("dynapar_job_execute_us_count{class=\"spawn\"} 2"), "{text}");
+        assert!(
+            text.contains("dynapar_job_execute_us_count{class=\"spawn\"} 2"),
+            "{text}"
+        );
         assert!(text.contains("dynapar_uptime_seconds 0\n"), "{text}");
         assert!(text.contains("# TYPE dynapar_workers gauge"), "{text}");
     }

@@ -102,7 +102,11 @@ impl Request {
             .ok_or_else(|| "request must be a JSON object".to_string())?;
         match doc.get("v").and_then(Json::as_u64) {
             Some(PROTOCOL_VERSION) => {}
-            Some(v) => return Err(format!("unsupported protocol version {v} (this daemon speaks v{PROTOCOL_VERSION})")),
+            Some(v) => {
+                return Err(format!(
+                    "unsupported protocol version {v} (this daemon speaks v{PROTOCOL_VERSION})"
+                ))
+            }
             None => return Err("request needs `\"v\": 1`".to_string()),
         }
         let ty = doc
@@ -240,7 +244,10 @@ pub fn submit_response(id: u64, cached: bool, hash: u64) -> Json {
 pub fn sweep_response(acks: &[(u64, bool, u64)]) -> Json {
     Json::obj([
         ("ok", Json::Bool(true)),
-        ("ids", Json::arr(acks.iter().map(|(id, _, _)| Json::U64(*id)))),
+        (
+            "ids",
+            Json::arr(acks.iter().map(|(id, _, _)| Json::U64(*id))),
+        ),
         (
             "cached",
             Json::arr(acks.iter().map(|(_, c, _)| Json::Bool(*c))),
@@ -409,8 +416,14 @@ mod tests {
             (r#"{"v":1,"type":"health","verbose":true}"#, "unknown key"),
             (r#"{"v":1,"type":"status"}"#, "numeric `id`"),
             (r#"{"v":1,"type":"submit"}"#, "`job`"),
-            (r#"{"v":1,"type":"sweep","job":{"bench":"AMR","policy":"flat"},"policies":[]}"#, "empty"),
-            (r#"{"v":1,"type":"sweep","job":{"bench":"AMR","policy":"flat"},"policies":[3]}"#, "strings"),
+            (
+                r#"{"v":1,"type":"sweep","job":{"bench":"AMR","policy":"flat"},"policies":[]}"#,
+                "empty",
+            ),
+            (
+                r#"{"v":1,"type":"sweep","job":{"bench":"AMR","policy":"flat"},"policies":[3]}"#,
+                "strings",
+            ),
         ] {
             let err = Request::parse_line(line).unwrap_err();
             assert!(err.contains(needle), "{line} -> {err}");

@@ -214,10 +214,7 @@ impl DaemonTrace {
                         "fork_branch",
                         started,
                         until.saturating_sub(started),
-                        Json::obj([(
-                            "note",
-                            Json::str("resumed from a shared warm-up snapshot"),
-                        )]),
+                        Json::obj([("note", Json::str("resumed from a shared warm-up snapshot"))]),
                     ));
                 }
             }
@@ -291,7 +288,10 @@ mod tests {
             Some("000000000000abcd")
         );
         let co = find(events, "i", "coalesced").expect("coalesced instant");
-        assert_eq!(co.get("args").unwrap().get("primary").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            co.get("args").unwrap().get("primary").unwrap().as_u64(),
+            Some(0)
+        );
     }
 
     #[test]

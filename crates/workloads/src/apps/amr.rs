@@ -258,13 +258,7 @@ pub mod timesteps {
         #[test]
         fn timestep_kernels_conserve_work_across_policies() {
             let cfg = dynapar_gpu::GpuConfig::test_small();
-            let flat = run(
-                Scale::Tiny,
-                3,
-                7,
-                &cfg,
-                Box::new(dynapar_gpu::InlineAll),
-            );
+            let flat = run(Scale::Tiny, 3, 7, &cfg, Box::new(dynapar_gpu::InlineAll));
             let spawn = run(
                 Scale::Tiny,
                 3,

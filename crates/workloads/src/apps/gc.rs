@@ -138,8 +138,7 @@ pub mod rounds {
             let mut this_round = Vec::new();
             for &v in &remaining {
                 let winner = adj[v as usize].iter().all(|&u| {
-                    colors[u as usize] != u32::MAX
-                        || (prio[v as usize], v) > (prio[u as usize], u)
+                    colors[u as usize] != u32::MAX || (prio[v as usize], v) > (prio[u as usize], u)
                 });
                 if winner {
                     this_round.push(v);
@@ -290,7 +289,13 @@ pub mod rounds {
         fn round_kernels_conserve_work() {
             let cfg = dynapar_gpu::GpuConfig::test_small();
             let input = GraphInput::Citation;
-            let flat = run(input, Scale::Tiny, 5, &cfg, Box::new(dynapar_gpu::InlineAll));
+            let flat = run(
+                input,
+                Scale::Tiny,
+                5,
+                &cfg,
+                Box::new(dynapar_gpu::InlineAll),
+            );
             let dp = run(
                 input,
                 Scale::Tiny,

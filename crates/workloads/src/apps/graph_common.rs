@@ -43,12 +43,7 @@ pub(crate) struct GraphAppSpec {
 }
 
 /// Builds the benchmark for `spec` on `input` at `scale`.
-pub(crate) fn build(
-    spec: GraphAppSpec,
-    input: GraphInput,
-    scale: Scale,
-    seed: u64,
-) -> Benchmark {
+pub(crate) fn build(spec: GraphAppSpec, input: GraphInput, scale: Scale, seed: u64) -> Benchmark {
     let g = input.generate(scale, seed);
     let cap = match input {
         GraphInput::Citation => spec.degree_cap_citation,

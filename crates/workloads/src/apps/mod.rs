@@ -10,8 +10,8 @@
 
 pub mod amr;
 pub mod bfs;
-mod graph_common;
 pub mod gc;
+mod graph_common;
 pub mod join;
 pub mod mandel;
 pub mod mm;

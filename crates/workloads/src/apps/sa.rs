@@ -116,7 +116,10 @@ mod tests {
         let b = build(SaInput::Thaliana, Scale::Small, 1);
         let (min, median, max) = b.workload_spread();
         assert_eq!(min, 1);
-        assert!(median < 128, "typical read has few candidates, got {median}");
+        assert!(
+            median < 128,
+            "typical read has few candidates, got {median}"
+        );
         assert!(max > 500, "repetitive reads have huge candidate lists");
         // The tail holds most of the verification work — the property that
         // makes SA the paper's biggest DP winner.

@@ -260,7 +260,13 @@ pub mod rounds {
         fn round_kernels_run_under_all_policies() {
             let cfg = dynapar_gpu::GpuConfig::test_small();
             let input = GraphInput::Graph500;
-            let flat = run(input, Scale::Tiny, 3, &cfg, Box::new(dynapar_gpu::InlineAll));
+            let flat = run(
+                input,
+                Scale::Tiny,
+                3,
+                &cfg,
+                Box::new(dynapar_gpu::InlineAll),
+            );
             let dp = run(
                 input,
                 Scale::Tiny,

@@ -44,7 +44,11 @@ pub struct ParseSpecError {
 
 impl std::fmt::Display for ParseSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spec parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "spec parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -332,7 +336,9 @@ items: 1 2 300 4 5
     #[test]
     fn built_benchmark_runs() {
         let mut spec = BenchmarkSpec::parse(SAMPLE).expect("valid spec");
-        spec.items = (0..256).map(|i| if i % 32 == 0 { 200 } else { 3 }).collect();
+        spec.items = (0..256)
+            .map(|i| if i % 32 == 0 { 200 } else { 3 })
+            .collect();
         let bench = spec.build(7);
         assert_eq!(bench.app(), "CUSTOM");
         let total: u64 = spec.items.iter().map(|&i| i as u64).sum();

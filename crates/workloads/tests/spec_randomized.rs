@@ -7,7 +7,9 @@ use dynapar_workloads::BenchmarkSpec;
 const CASES: u64 = 64;
 
 fn random_spec(rng: &mut DetRng) -> BenchmarkSpec {
-    let items: Vec<u32> = (0..1 + rng.below(199)).map(|_| rng.below(1000) as u32).collect();
+    let items: Vec<u32> = (0..1 + rng.below(199))
+        .map(|_| rng.below(1000) as u32)
+        .collect();
     let name_len = rng.below(21) as usize;
     let mut name = String::new();
     name.push((b'a' + rng.below(26) as u8) as char);

@@ -125,10 +125,7 @@ fn per_app_seeds_decorrelate_siblings() {
     let kb = bfs.kernel();
     let ks = sssp.kernel();
     match (&kb.source, &ks.source) {
-        (
-            dynapar_gpu::ThreadSource::Explicit(a),
-            dynapar_gpu::ThreadSource::Explicit(b),
-        ) => {
+        (dynapar_gpu::ThreadSource::Explicit(a), dynapar_gpu::ThreadSource::Explicit(b)) => {
             let same = a
                 .iter()
                 .zip(b.iter())

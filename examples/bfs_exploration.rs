@@ -12,8 +12,8 @@ use dynapar::workloads::{suite, Scale};
 
 fn main() {
     let cfg = GpuConfig::kepler_k20m();
-    let bench = suite::by_name("BFS-graph500", Scale::Small, suite::DEFAULT_SEED)
-        .expect("known benchmark");
+    let bench =
+        suite::by_name("BFS-graph500", Scale::Small, suite::DEFAULT_SEED).expect("known benchmark");
     let flat = bench.run_flat(&cfg);
     println!(
         "BFS-graph500 flat run: {} cycles over {} edges",
@@ -28,8 +28,7 @@ fn main() {
 
     // Thresholds spanning the whole distribution (plus launch-everything).
     let grid = {
-        let mut g =
-            bench.threshold_grid(&[0.05, 0.15, 0.30, 0.50, 0.70, 0.85, 0.95]);
+        let mut g = bench.threshold_grid(&[0.05, 0.15, 0.30, 0.50, 0.70, 0.85, 0.95]);
         g.push(0);
         g.sort_unstable();
         g.dedup();

@@ -28,7 +28,11 @@ fn main() {
     );
     for (lvl, f) in t.frontiers.iter().enumerate().take(8) {
         let edges: u64 = f.iter().map(|&v| g.degree(v) as u64).sum();
-        println!("  level {lvl}: {} frontier vertices, {} edges to expand", f.len(), edges);
+        println!(
+            "  level {lvl}: {} frontier vertices, {} edges to expand",
+            f.len(),
+            edges
+        );
     }
     if t.frontiers.len() > 8 {
         println!("  ... ({} more levels)", t.frontiers.len() - 8);

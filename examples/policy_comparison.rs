@@ -39,7 +39,12 @@ fn main() {
                 flat.total_cycles as f64 / cycles as f64
             );
         };
-        row("Baseline-DP", baseline.total_cycles, baseline.child_kernels_launched, String::new());
+        row(
+            "Baseline-DP",
+            baseline.total_cycles,
+            baseline.child_kernels_launched,
+            String::new(),
+        );
         row(
             "Offline-Search",
             best.report.total_cycles,

@@ -54,5 +54,8 @@ fn main() {
     // Every scheme executes exactly the same work.
     assert_eq!(flat.items_total(), baseline.items_total());
     assert_eq!(flat.items_total(), spawn.items_total());
-    println!("work conserved across schemes: {} items each", flat.items_total());
+    println!(
+        "work conserved across schemes: {} items each",
+        flat.items_total()
+    );
 }

@@ -39,7 +39,10 @@ fn main() {
     let spec = BenchmarkSpec::parse(&text).expect("well-formed spec");
     println!(
         "parsed spec {:?}: {} threads, cta={} threshold={}",
-        spec.name, spec.items.len(), spec.cta_threads, spec.threshold
+        spec.name,
+        spec.items.len(),
+        spec.cta_threads,
+        spec.threshold
     );
 
     let bench = spec.build(42);

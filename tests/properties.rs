@@ -26,7 +26,9 @@ struct Program {
 }
 
 fn random_program(rng: &mut DetRng) -> Program {
-    let items: Vec<u32> = (0..1 + rng.below(299)).map(|_| rng.below(400) as u32).collect();
+    let items: Vec<u32> = (0..1 + rng.below(299))
+        .map(|_| rng.below(400) as u32)
+        .collect();
     let cta_choices = [32u32, 64, 128, 256];
     let child_choices = [32u32, 64, 128];
     Program {

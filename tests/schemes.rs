@@ -291,7 +291,9 @@ fn free_launch_and_hybrid_run_the_suite_sample() {
 fn spec_roundtrip_runs_like_the_original() {
     use dynapar::workloads::BenchmarkSpec;
     let spec = BenchmarkSpec {
-        items: (0..512).map(|i| if i % 64 == 0 { 300 } else { 2 }).collect(),
+        items: (0..512)
+            .map(|i| if i % 64 == 0 { 300 } else { 2 })
+            .collect(),
         threshold: 64,
         ..BenchmarkSpec::default()
     };

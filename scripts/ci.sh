@@ -11,11 +11,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== format (cargo fmt, check only) =="
+cargo fmt --all --check
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
 echo "== test (offline) =="
 cargo test -q --offline --workspace
+
+echo "== synthesis identity (release, incl. paper scale) =="
+# The paper-scale checks are #[ignore]d in the debug suite: the plain
+# escape loop and paper-scale graph500 take seconds unoptimized. In
+# release they pin every fast synthesis path to the plain one.
+cargo test -q --release --offline -p dynapar-workloads -- --ignored
 
 echo "== scorecard smoke (tiny scale) =="
 ./target/release/scorecard --scale tiny

@@ -43,7 +43,7 @@
 //!   beats the cold one by ≥ 1.5×. Combines with `--emit-json` /
 //!   `--baseline` (`results/BENCH_8.json` is the committed baseline).
 
-use dynapar_bench::{parse_metrics_level, usage_error, Options};
+use dynapar_bench::{parse_metrics_level, Options};
 use dynapar_core::{BaselineDp, PolicySpec, SpawnPolicy};
 use dynapar_engine::par::par_map;
 use dynapar_engine::profile::ProfileReport;
@@ -73,8 +73,17 @@ const PROFILE_SCHEMA: &str = "dynapar-profile/1";
 /// and the intra-run worker count were still selectable) keep gating.
 const QUEUE: &str = "wheel";
 
+/// Prints `msg` plus the shared-flags line to stderr and exits with
+/// status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("perf: error: {msg}");
+    eprintln!("perf: shared flags: [--scale tiny|small|paper] [--seed N] [--jobs N]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let (mut opts, rest) = Options::parse_known().unwrap_or_else(|e| e.exit());
+    let (mut opts, rest) =
+        Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e.to_string()));
     let mut serial = true;
     let mut emit_json: Option<String> = None;
     let mut baseline: Option<String> = None;
@@ -141,7 +150,7 @@ fn main() {
                 let v = rest
                     .next()
                     .unwrap_or_else(|| usage_error("--metrics expects a level"));
-                metrics = parse_metrics_level(&v).unwrap_or_else(|e| e.exit());
+                metrics = parse_metrics_level(&v).unwrap_or_else(|e| usage_error(&e.to_string()));
             }
             "--sweep-fork" => sweep_fork = true,
             other => usage_error(&format!(

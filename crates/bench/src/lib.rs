@@ -1,14 +1,11 @@
 //! # dynapar-bench
 //!
-//! The experiment harness: shared helpers used by the `table*`/`fig*`
-//! binaries that regenerate every table and figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results).
-//!
-//! Each binary prints machine-grep-friendly rows to stdout. Common CLI:
-//! `--scale tiny|small|paper` (default `paper`), `--seed N`, and
-//! `--jobs N` (worker threads for independent simulations; defaults to
-//! `DYNAPAR_JOBS` or the machine's core count).
+//! The experiment harness that regenerates every table and figure of the
+//! paper's evaluation (`DESIGN.md` §4 indexes them, `EXPERIMENTS.md`
+//! records the results). Each entry of [`EXPERIMENTS`] is a subcommand of
+//! the `dynapar-bench` binary (see [`usage`]) that writes
+//! machine-grep-friendly rows to a writer. The experiments built on the
+//! three-scheme suite share one lazily computed [`Ctx::schemes`].
 //!
 //! Every simulation is single-threaded and deterministic; `--jobs` only
 //! fans *independent* runs (schemes × benchmarks × thresholds) across
@@ -18,12 +15,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cli;
+mod experiments;
 pub mod svg;
+
+use std::io::{self, Write};
+use std::path::Path;
 
 use dynapar_core::{offline::SweepPoint, BaselineDp, SpawnPolicy, SweepResult};
 use dynapar_engine::par::{default_jobs, par_map};
 use dynapar_gpu::{GpuConfig, SimReport};
 use dynapar_workloads::{suite, Benchmark, Scale};
+
+pub use cli::{usage, Ctx, Invocation};
+use experiments::find;
+pub use experiments::{Experiment, EXPERIMENTS};
 
 /// Offload fractions targeted by the Fig. 5 / Offline-Search threshold
 /// sweeps (the paper samples 4–7 distribution points per benchmark).
@@ -77,13 +83,21 @@ pub enum SchemeJob {
     Spawn,
 }
 
-/// The Offline-Search threshold grid for one benchmark: the
-/// offload-fraction grid plus the application's own threshold and the
-/// launch-everything extreme, so Offline-Search can never lose to
-/// Baseline-DP by grid omission.
-pub fn sweep_grid(bench: &Benchmark) -> Vec<u32> {
+/// The Fig. 5 threshold grid for one benchmark: the offload-fraction
+/// grid plus the application's own threshold, ascending.
+pub(crate) fn offload_grid(bench: &Benchmark) -> Vec<u32> {
     let mut grid = bench.threshold_grid(&SWEEP_FRACTIONS);
     grid.push(bench.default_threshold());
+    grid.sort_unstable();
+    grid.dedup();
+    grid
+}
+
+/// The Offline-Search threshold grid for one benchmark: the
+/// [`offload_grid`] plus the launch-everything extreme, so
+/// Offline-Search can never lose to Baseline-DP by grid omission.
+pub fn sweep_grid(bench: &Benchmark) -> Vec<u32> {
+    let mut grid = offload_grid(bench);
     grid.push(0);
     grid.sort_unstable();
     grid.dedup();
@@ -143,9 +157,8 @@ fn collect_schemes(bench: &Benchmark, jobs: &[SchemeJob], reports: Vec<SimReport
 /// simulations across up to `jobs` worker threads. Results are
 /// bit-identical for any `jobs` value.
 pub fn run_schemes(bench: &Benchmark, cfg: &GpuConfig, jobs: usize) -> SchemeRuns {
-    let list = scheme_jobs(bench);
-    let reports = par_map(list.clone(), jobs, |job| run_scheme_job(bench, cfg, job));
-    collect_schemes(bench, &list, reports)
+    let mut runs = run_suite_schemes(std::slice::from_ref(bench), cfg, jobs);
+    runs.pop().expect("one benchmark in, one out")
 }
 
 /// Runs the scheme comparison for every benchmark, flattening the whole
@@ -154,97 +167,83 @@ pub fn run_schemes(bench: &Benchmark, cfg: &GpuConfig, jobs: usize) -> SchemeRun
 /// stall on each benchmark's slowest run).
 pub fn run_suite_schemes(benches: &[Benchmark], cfg: &GpuConfig, jobs: usize) -> Vec<SchemeRuns> {
     let per_bench: Vec<Vec<SchemeJob>> = benches.iter().map(scheme_jobs).collect();
-    let flat_jobs: Vec<(usize, SchemeJob)> = per_bench
+    let all: Vec<(&Benchmark, SchemeJob)> = benches
         .iter()
-        .enumerate()
-        .flat_map(|(bi, list)| list.iter().map(move |&j| (bi, j)))
+        .zip(&per_bench)
+        .flat_map(|(bench, list)| list.iter().map(move |&job| (bench, job)))
         .collect();
-    let mut reports: Vec<std::collections::VecDeque<SimReport>> = benches
-        .iter()
-        .map(|_| std::collections::VecDeque::new())
-        .collect();
-    for ((bi, _), report) in flat_jobs
-        .iter()
-        .zip(par_map(flat_jobs.clone(), jobs, |(bi, job)| {
-            run_scheme_job(&benches[bi], cfg, job)
-        }))
-    {
-        reports[*bi].push_back(report);
-    }
+    let mut reports =
+        par_map(all, jobs, |(bench, job)| run_scheme_job(bench, cfg, job)).into_iter();
     benches
         .iter()
         .zip(per_bench)
-        .zip(reports)
-        .map(|((bench, list), r)| collect_schemes(bench, &list, r.into()))
+        .map(|(bench, list)| {
+            let mine = reports.by_ref().take(list.len()).collect();
+            collect_schemes(bench, &list, mine)
+        })
         .collect()
 }
 
-/// Name of the running harness binary, for error messages.
-pub fn binary_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .map(std::path::Path::new)
-        .and_then(|p| p.file_stem())
-        .and_then(|s| s.to_str())
-        .map(str::to_string)
-        .unwrap_or_else(|| "dynapar-bench".to_string())
-}
-
-/// Prints `msg` (prefixed with the binary's name) plus the shared usage
-/// line to stderr and exits with status 2.
-pub fn usage_error(msg: &str) -> ! {
-    OptionsError::BadValue(msg.to_string()).exit()
-}
-
-/// A malformed harness command line.
-///
-/// Parsing never terminates the process: library callers get the typed
-/// error back, and binaries opt into the classic behaviour with
-/// [`OptionsError::exit`].
+/// Why a harness command failed. Nothing in the harness exits the
+/// process: the binary maps these to a message and an exit status.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OptionsError {
+pub enum Error {
     /// An argument none of the parsers recognized.
     UnknownArgument(String),
     /// A recognized flag whose value is missing or malformed.
     BadValue(String),
+    /// A subcommand name that is not in [`EXPERIMENTS`].
+    UnknownExperiment(String),
+    /// A benchmark name the suite does not know.
+    UnknownBenchmark(String),
+    /// Creating, writing or flushing an output failed.
+    Io(String),
+    /// The scorecard found this many hard claims failing.
+    ClaimsFailed(u32),
 }
 
-impl OptionsError {
-    /// The human-readable description (without the binary-name prefix).
-    pub fn message(&self) -> String {
+impl Error {
+    /// True for command-line mistakes, which the binary answers with the
+    /// usage text and exit status 2.
+    pub fn is_usage(&self) -> bool {
+        matches!(
+            self,
+            Error::UnknownArgument(_) | Error::BadValue(_) | Error::UnknownExperiment(_)
+        )
+    }
+
+    /// Wraps an I/O failure on `path` (for `map_err`).
+    pub fn io_at(path: &Path) -> impl FnOnce(io::Error) -> Error + '_ {
+        move |e| Error::Io(format!("{}: {e}", path.display()))
+    }
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OptionsError::UnknownArgument(arg) => format!("unknown argument {arg:?}"),
-            OptionsError::BadValue(msg) => msg.clone(),
+            Error::UnknownArgument(arg) => write!(f, "unknown argument {arg:?}"),
+            Error::BadValue(msg) | Error::Io(msg) => f.write_str(msg),
+            Error::UnknownExperiment(name) => write!(f, "unknown experiment {name:?}"),
+            Error::UnknownBenchmark(name) => write!(f, "unknown benchmark {name:?}"),
+            Error::ClaimsFailed(n) => write!(f, "scorecard: {n} hard claim(s) failed"),
         }
     }
-
-    /// Prints the error (prefixed with the binary's name) plus the shared
-    /// usage line to stderr and exits with status 2 — the conventional
-    /// ending for a harness binary's `unwrap_or_else(|e| e.exit())`.
-    pub fn exit(self) -> ! {
-        let bin = binary_name();
-        eprintln!("{bin}: error: {}", self.message());
-        eprintln!("{bin}: shared flags: [--scale tiny|small|paper] [--seed N] [--jobs N]");
-        std::process::exit(2)
-    }
 }
 
-impl std::fmt::Display for OptionsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message())
+impl std::error::Error for Error {}
+
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Self {
+        Error::Io(e.to_string())
     }
 }
-
-impl std::error::Error for OptionsError {}
 
 /// Parses a `--metrics` value for harness binaries: case-insensitive,
 /// rejecting unknown input with the valid-values list as a typed
-/// [`OptionsError`] (so library callers can test the error path and
-/// binaries can `.unwrap_or_else(|e| e.exit())`).
-pub fn parse_metrics_level(v: &str) -> Result<dynapar_gpu::MetricsLevel, OptionsError> {
+/// [`Error`].
+pub fn parse_metrics_level(v: &str) -> Result<dynapar_gpu::MetricsLevel, Error> {
     dynapar_gpu::MetricsLevel::parse(v).ok_or_else(|| {
-        OptionsError::BadValue(format!(
+        Error::BadValue(format!(
             "--metrics expects {}, got {v:?}",
             dynapar_gpu::MetricsLevel::VALID_VALUES
         ))
@@ -297,32 +296,10 @@ impl Options {
         self
     }
 
-    /// Parses `--scale` / `--seed` / `--jobs` from the process arguments.
-    /// Any argument not recognized here is an error: binaries that add
-    /// their own flags must use [`Options::parse_known`] and reject the
-    /// leftovers they don't consume.
-    ///
-    /// Binaries conventionally end the error path with
-    /// `.unwrap_or_else(|e| e.exit())`.
-    pub fn from_args() -> Result<Self, OptionsError> {
-        let (opts, rest) = Self::parse_known()?;
-        if let Some(unknown) = rest.first() {
-            return Err(OptionsError::UnknownArgument(unknown.clone()));
-        }
-        Ok(opts)
-    }
-
-    /// Parses the shared flags from the process arguments, returning the
-    /// unrecognized arguments in order for the binary's own parsing.
-    pub fn parse_known() -> Result<(Self, Vec<String>), OptionsError> {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Pure parser behind [`Options::from_args`] / [`Options::parse_known`]:
-    /// consumes the shared flags from `args`, returns the leftovers.
-    pub fn parse(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<(Self, Vec<String>), OptionsError> {
+    /// Consumes the shared flags (`--scale`, `--seed`, `--jobs`) from
+    /// `args` and returns the other arguments in order, for the caller's
+    /// own parsing.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), Error> {
         let mut opts = Options::default();
         let mut rest = Vec::new();
         let mut args = args.into_iter();
@@ -334,7 +311,7 @@ impl Options {
                         Some("small") => Scale::Small,
                         Some("paper") => Scale::Paper,
                         other => {
-                            return Err(OptionsError::BadValue(format!(
+                            return Err(Error::BadValue(format!(
                                 "--scale expects tiny|small|paper, got {other:?}"
                             )))
                         }
@@ -343,19 +320,19 @@ impl Options {
                 "--seed" => {
                     let v = args
                         .next()
-                        .ok_or(OptionsError::BadValue("--seed expects an integer".into()))?;
+                        .ok_or(Error::BadValue("--seed expects an integer".into()))?;
                     opts.seed = v.parse().map_err(|_| {
-                        OptionsError::BadValue(format!("--seed expects an integer, got {v:?}"))
+                        Error::BadValue(format!("--seed expects an integer, got {v:?}"))
                     })?;
                 }
                 "--jobs" => {
-                    let v = args.next().ok_or(OptionsError::BadValue(
-                        "--jobs expects a positive integer".into(),
-                    ))?;
+                    let v = args
+                        .next()
+                        .ok_or(Error::BadValue("--jobs expects a positive integer".into()))?;
                     opts.jobs = match v.parse() {
                         Ok(n) if n >= 1 => n,
                         _ => {
-                            return Err(OptionsError::BadValue(format!(
+                            return Err(Error::BadValue(format!(
                                 "--jobs expects a positive integer, got {v:?}"
                             )))
                         }
@@ -378,29 +355,35 @@ impl Options {
     }
 }
 
-/// Prints a fixed-width table row.
-pub fn print_row(cols: &[String], widths: &[usize]) {
+/// Writes a fixed-width table row.
+pub(crate) fn write_row(out: &mut dyn Write, cols: &[String], widths: &[usize]) -> io::Result<()> {
     let cells: Vec<String> = cols
         .iter()
         .zip(widths)
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect();
-    println!("{}", cells.join("  "));
+    writeln!(out, "{}", cells.join("  "))
 }
 
-/// Prints a header row followed by a separator.
-pub fn print_header(cols: &[&str], widths: &[usize]) {
-    print_row(
+/// Writes a header row followed by a separator.
+pub(crate) fn write_header(out: &mut dyn Write, cols: &[&str], widths: &[usize]) -> io::Result<()> {
+    write_row(
+        out,
         &cols.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
         widths,
-    );
+    )?;
     let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-    println!("{}", "-".repeat(total));
+    writeln!(out, "{}", "-".repeat(total))
 }
 
 /// Formats a ratio as `x.xx`.
 pub fn fmt2(v: f64) -> String {
     format!("{v:.2}")
+}
+
+/// Formats `r`'s speedup over the `flat` run as `x.xx`.
+pub(crate) fn fmt_speedup(r: &SimReport, flat: &SimReport) -> String {
+    fmt2(r.speedup_over(flat.total_cycles))
 }
 
 /// Formats a fraction as a percentage.
@@ -446,9 +429,9 @@ mod tests {
             "parser is case-insensitive"
         );
         let err = parse_metrics_level("loud").unwrap_err();
-        assert!(matches!(err, OptionsError::BadValue(_)));
+        assert!(matches!(err, Error::BadValue(_)));
         assert!(
-            err.message().contains(MetricsLevel::VALID_VALUES),
+            err.to_string().contains(MetricsLevel::VALID_VALUES),
             "error must list valid values: {err}"
         );
     }
@@ -502,9 +485,9 @@ mod tests {
     #[test]
     fn errors_are_typed_and_displayable() {
         let e = Options::parse(v(&["--scale", "huge"])).unwrap_err();
-        assert!(matches!(e, OptionsError::BadValue(_)));
+        assert!(matches!(e, Error::BadValue(_)));
         assert!(e.to_string().contains("--scale"));
-        let e = OptionsError::UnknownArgument("--frobnicate".into());
+        let e = Error::UnknownArgument("--frobnicate".into());
         assert!(e.to_string().contains("--frobnicate"));
     }
 

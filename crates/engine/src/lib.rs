@@ -8,10 +8,10 @@
 //! The crate provides four building blocks:
 //!
 //! * [`Cycle`] — a newtype for simulated GPU clock cycles,
-//! * [`TimingWheel`] / [`EventQueue`] — two stable (FIFO-on-ties)
-//!   time-ordered event queues with an identical ordering contract: the
-//!   O(1)-amortized hierarchical timing wheel the simulator schedules
-//!   on, and the comparison heap it is differentially tested against,
+//! * [`TimingWheel`] — the stable (FIFO-on-ties) time-ordered event
+//!   queue the simulator schedules on: an O(1)-amortized hierarchical
+//!   timing wheel, differentially tested against a plain comparison
+//!   heap kept in the crate's tests,
 //! * [`DetRng`] — a seeded random-number generator with the distributions
 //!   needed by the workload generators (uniform, normal, Zipf, power law),
 //! * [`stats`] — windowed averages, histograms, CDFs, time-weighted
@@ -42,9 +42,9 @@
 //! # Examples
 //!
 //! ```
-//! use dynapar_engine::{Cycle, EventQueue};
+//! use dynapar_engine::{Cycle, TimingWheel};
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = TimingWheel::new();
 //! q.push(Cycle(30), "late");
 //! q.push(Cycle(10), "early");
 //! q.push(Cycle(10), "early-second");
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 mod cycle;
-mod event;
 pub mod json;
 pub mod log;
 pub mod metrics;
@@ -72,6 +71,5 @@ pub mod timeseries;
 mod wheel;
 
 pub use cycle::Cycle;
-pub use event::EventQueue;
 pub use rng::{fnv1a_64, hash_mix, DetRng};
 pub use wheel::TimingWheel;

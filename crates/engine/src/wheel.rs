@@ -9,13 +9,12 @@
 //! them: an event scheduled `d` cycles ahead lands in a bucket addressed by
 //! its timestamp bits, and popping the minimum is a bitmask scan.
 //!
-//! [`TimingWheel`] keeps the exact ordering contract of
-//! [`EventQueue`](crate::EventQueue): pops are non-decreasing in time, and
-//! events scheduled for the same cycle pop in push order (FIFO). That
-//! stability is part of the simulator's correctness contract — see the
-//! `EventQueue` docs and DESIGN.md — so the wheel is differentially tested
-//! against that reference heap to produce identical `(cycle, seq)` pop
-//! streams.
+//! [`TimingWheel`] keeps the ordering contract of a stable binary heap:
+//! pops are non-decreasing in time, and events scheduled for the same
+//! cycle pop in push order (FIFO). That stability is part of the
+//! simulator's correctness contract (see DESIGN.md), so the wheel is
+//! differentially tested against a reference heap, kept in the crate's
+//! tests, to produce identical `(cycle, seq)` pop streams.
 //!
 //! # Shape
 //!
@@ -48,10 +47,10 @@ struct Entry<E> {
     event: E,
 }
 
-/// A deterministic hierarchical timing wheel with the same stability
-/// contract as [`EventQueue`](crate::EventQueue).
+/// A deterministic hierarchical timing wheel: pops are non-decreasing in
+/// time, and same-cycle events pop in push order (FIFO).
 ///
-/// Differences from `EventQueue`:
+/// Differences from a plain stable heap:
 ///
 /// * `push` must not schedule before the current frontier (the time of the
 ///   most recent pop). The simulator never does — every event is scheduled

@@ -3,13 +3,14 @@
 //! equal [`ParseError`]s.
 //!
 //! The reference is the engine's original recursive-descent parser, kept
-//! here verbatim as a test-only oracle, the way `EventQueue` backs the
-//! timing wheel in `wheel_differential.rs`. Its string scan re-validates
-//! the whole rest of the input for every character, so it is quadratic;
-//! the production parser copies each unescaped run as one slice. Inputs
-//! are real documents — a tiny-scale AMR `full` artifact, a submit line
-//! and a sweep line carrying warm-ramp spec text — mutated by a seeded
-//! [`DetRng`]. Cases report their index for replay.
+//! here verbatim as a test-only oracle, the way the reference heap in
+//! `reference_queue/` backs the timing wheel in `wheel_differential.rs`.
+//! Its string scan re-validates the whole rest of the input for every
+//! character, so it is quadratic; the production parser copies each
+//! unescaped run as one slice. Inputs are real documents — a tiny-scale
+//! AMR `full` artifact, a submit line and a sweep line carrying warm-ramp
+//! spec text — mutated by a seeded [`DetRng`]. Cases report their index
+//! for replay.
 
 use dynapar_core::PolicySpec;
 use dynapar_engine::json::Json;

@@ -7,8 +7,11 @@
 //! generated (empty inputs, ties, single elements), and every failure
 //! reports the case index for replay.
 
+mod reference_queue;
+
 use dynapar_engine::stats::{Cdf, Histogram, TimeWeighted, WindowedTimeAvg};
-use dynapar_engine::{Cycle, DetRng, EventQueue};
+use dynapar_engine::{Cycle, DetRng};
+use reference_queue::EventQueue;
 
 const CASES: u64 = 64;
 

@@ -8,7 +8,10 @@
 //! the heap. Cases are seeded via [`DetRng`] and report their index for
 //! replay.
 
-use dynapar_engine::{Cycle, DetRng, EventQueue, TimingWheel};
+mod reference_queue;
+
+use dynapar_engine::{Cycle, DetRng, TimingWheel};
+use reference_queue::EventQueue;
 
 const CASES: u64 = 64;
 

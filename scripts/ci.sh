@@ -26,8 +26,14 @@ echo "== synthesis identity (release, incl. paper scale) =="
 # release they pin every fast synthesis path to the plain one.
 cargo test -q --release --offline -p dynapar-workloads -- --ignored
 
+echo "== experiment identity (release, every dynapar-bench subcommand) =="
+# The #[ignore]d test runs all 24 experiments at tiny scale and checks
+# their text and SVG bytes against recorded digests, one multi-name
+# invocation against the single-name outputs, and --jobs 1 against 2.
+cargo test -q --release --offline -p dynapar-bench -- --ignored
+
 echo "== scorecard smoke (tiny scale) =="
-./target/release/scorecard --scale tiny
+./target/release/dynapar-bench --scale tiny scorecard
 
 echo "== artifact smoke (emit + validate round trip) =="
 artifact_dir="$(mktemp -d)"
